@@ -377,9 +377,11 @@ BENCHMARK(bm_evolver_generation_scalar)->UseManualTime();
 void bm_evolver_generation_mt(benchmark::State& state) {
   // A short incremental search driven end to end through
   // evolver::run_incremental with N worker threads (contiguous lambda
-  // chunks, one staged batch per worker, per-worker evaluators) —
-  // per-offspring wall time, the multi-core scaling trajectory of the
-  // search inner loop.  On a single-core box this records the
+  // chunks, one staged batch per worker, per-worker evaluators) — the
+  // multi-core scaling trajectory of the search inner loop.  The manual
+  // time is one whole search per iteration, so google-benchmark sizes the
+  // run from real iterations; per-offspring wall time is the
+  // ns_per_offspring counter.  On a single-core box this records the
   // synchronization overhead floor, not a speedup.
   const metrics::mult_spec spec{8, false};
   const dist::pmf d = dist::pmf::half_normal(256, 64.0);
@@ -394,6 +396,8 @@ void bm_evolver_generation_mt(benchmark::State& state) {
     return core::make_incremental_wmed_evaluator<metrics::mult_spec>(
         cache, lib, 1e-4);
   };
+  double seconds = 0.0;
+  std::size_t offspring = 0;
   for (auto _ : state) {
     rng gen(3);
     const auto t0 = std::chrono::steady_clock::now();
@@ -401,10 +405,14 @@ void bm_evolver_generation_mt(benchmark::State& state) {
         cgp::evolver::run_incremental(start, factory, opts, threads, gen);
     benchmark::DoNotOptimize(run.evaluations);
     const auto t1 = std::chrono::steady_clock::now();
-    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count() /
-                           static_cast<double>(run.evaluations));
+    const double elapsed = std::chrono::duration<double>(t1 - t0).count();
+    state.SetIterationTime(elapsed);
+    seconds += elapsed;
+    offspring += run.evaluations;
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(offspring));
+  state.counters["ns_per_offspring"] = benchmark::Counter(
+      offspring == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(offspring));
 }
 BENCHMARK(bm_evolver_generation_mt)->Apply(mt_args)->UseManualTime();
 
@@ -560,24 +568,27 @@ void bm_sweep_session(benchmark::State& state) {
 BENCHMARK(bm_sweep_session);
 
 void bm_sweep_session_mt(benchmark::State& state) {
-  // The session sweep with each job's lambda evaluation spread over N
-  // worker threads (approximation_config::threads) — the orchestration
-  // layer's multi-core trajectory, complementing the per-offspring view of
+  // The session sweep with its jobs spread over N job threads
+  // (session_config::job_threads) — the axis shard workers run on by
+  // default, complementing the lambda-thread view of
   // bm_evolver_generation_mt.
-  core::approximation_config config = sweep_session_config();
-  config.threads = static_cast<std::size_t>(state.range(0));
+  const core::approximation_config config = sweep_session_config();
   const circuit::netlist seed = mult::unsigned_multiplier(8);
   core::sweep_plan plan;
   plan.targets = {1e-4, 1e-2};
   plan.runs_per_target = config.runs_per_target;
+  core::session_config options;
+  options.job_threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    core::search_session session(core::make_component(config), seed, plan);
+    core::search_session session(core::make_component(config), seed, plan,
+                                 options);
     session.run();
     benchmark::DoNotOptimize(session.front().size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
 }
-BENCHMARK(bm_sweep_session_mt)->Apply(mt_args);
+// Wall time: the job threads do the work, not the timing thread.
+BENCHMARK(bm_sweep_session_mt)->Apply(mt_args)->UseRealTime();
 
 void bm_sweep_session_cold_cache(benchmark::State& state) {
   // The pre-session behaviour: every job rebuilds the evaluator tables

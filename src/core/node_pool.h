@@ -54,7 +54,8 @@ struct node_config {
   std::string name{"local"};
   /// Substituted for `{host}` in the templates; purely textual.
   std::string host{};
-  /// Concurrent shard launches this node accepts.
+  /// Concurrent shard launches (worker processes) this node accepts; each
+  /// worker runs its jobs on all of the node's CPUs.
   std::size_t slots{1};
   /// Scratch directory for shard spec/checkpoint files on the node; empty
   /// = the node shares the coordinator's filesystem and uses its paths.

@@ -134,7 +134,7 @@ struct search_hooks {
 };
 
 /// The per-(spec, distribution) immutable evaluator tables a sweep shares
-/// across runs (exact-result table / bit planes / block order).
+/// across runs (weights / bit planes / block order).
 template <metrics::component_spec Spec>
 using wmed_shared_state =
     typename metrics::basic_wmed_evaluator<Spec>::shared_state;

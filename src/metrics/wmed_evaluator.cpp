@@ -18,13 +18,17 @@ basic_wmed_evaluator<Spec>::make_shared_state(const Spec& spec,
 
   auto state = std::make_shared<shared_state>();
   state->spec = spec;
-  state->exact = exact_result_table(spec);
   const double denom =
       static_cast<double>(spec.operand_count()) * spec.output_scale();
   state->weight.resize(d.size());
   for (std::size_t a = 0; a < d.size(); ++a) state->weight[a] = d[a] / denom;
 
-  if (spec.width < 6) return state;  // small widths use the reference sweep
+  if (spec.width < 6) {  // small widths use the reference sweep
+    state->exact = exact_result_table(spec);
+    return state;
+  }
+  // The planes below encode the exact table; it is not kept resident.
+  const std::vector<std::int64_t> exact = exact_result_table(spec);
 
   // --- operand-major exact result planes --------------------------------
   // Block index: (a << (w-6)) | bhi with bhi = operand B >> 6; the 64
@@ -53,7 +57,7 @@ basic_wmed_evaluator<Spec>::make_shared_state(const Spec& spec,
         // Two's-complement bits sign-extend negative exact results across
         // all planes for free.
         const auto bits =
-            static_cast<std::uint64_t>(state->exact[(b_op << w) | a]);
+            static_cast<std::uint64_t>(exact[(b_op << w) | a]);
         for (std::size_t p = 0; p < state->planes; ++p) {
           pl[p] |= ((bits >> p) & 1) << t;
         }
@@ -331,6 +335,13 @@ double basic_wmed_evaluator<Spec>::evaluate_reference(
   AXC_EXPECTS(nl.num_inputs() == 2 * s.spec.width);
   AXC_EXPECTS(nl.num_outputs() == s.spec.result_bits());
 
+  // Width >= 6 shares no exact table; build a private one on first use.
+  if (s.exact.empty() && reference_exact_.empty()) {
+    reference_exact_ = exact_result_table(s.spec);
+  }
+  const std::vector<std::int64_t>& exact =
+      s.exact.empty() ? reference_exact_ : s.exact;
+
   const std::size_t ni = nl.num_inputs();
   const std::size_t no = nl.num_outputs();
   const std::size_t blocks = s.spec.pair_count() / 64;
@@ -363,8 +374,7 @@ double basic_wmed_evaluator<Spec>::evaluate_reference(
     const std::size_t base = block * 64;
     for (std::size_t t = 0; t < 64; ++t) {
       const std::size_t v = base + t;
-      const std::int64_t err =
-          s.exact[v] - s.spec.result_value(raw[t]);
+      const std::int64_t err = exact[v] - s.spec.result_value(raw[t]);
       acc += s.weight[v & a_mask] *
              static_cast<double>(err < 0 ? -err : err);
     }

@@ -48,9 +48,9 @@
 // incremental search path (cgp::cone_program), which never materializes a
 // netlist per mutant.
 //
-// The immutable inputs of the sweep (exact-result table, weights, exact and
-// input bit planes, block visit order) are split into a ref-counted
-// shared_state so a design-space sweep builds them once per
+// The immutable inputs of the sweep (weights, exact and input bit planes,
+// block visit order; below width 6 the exact-result table itself) are split
+// into a ref-counted shared_state so a design-space sweep builds them once per
 // (spec, distribution) and shares them across every run's evaluators (see
 // core::search_session); the two-argument constructor keeps the old
 // build-your-own behaviour.
@@ -93,10 +93,10 @@ class basic_wmed_evaluator {
   static constexpr std::size_t lanes = 8;
 
   /// Everything the sweep needs that is a pure function of
-  /// (spec, distribution): the exact-result table, the per-operand weights,
-  /// the precompiled bit planes and the distribution-ordered block visit
-  /// order.  Building this dominates evaluator construction (it enumerates
-  /// all 2^(2w) operand pairs), yet a design-space sweep uses the same
+  /// (spec, distribution): the per-operand weights, the precompiled bit
+  /// planes and the distribution-ordered block visit order.  Building this
+  /// dominates evaluator construction (it enumerates all 2^(2w) operand
+  /// pairs), yet a design-space sweep uses the same
   /// (spec, distribution) for every run — so a session builds it once via
   /// make_shared_state() and every evaluator (one per job, plus one per
   /// lambda slot in parallel searches) attaches to the same immutable copy.
@@ -104,6 +104,9 @@ class basic_wmed_evaluator {
     Spec spec{};
     /// weight[a] = D(a) / (2^w * output_scale) so WMED = sum weight[a]*|err|.
     std::vector<double> weight;
+    /// Exact-result table, kept only below width 6 (the reference sweep's
+    /// input).  At width >= 6 the exact planes encode it, and a resident
+    /// 2^(2w) int64 table would cost 512 KiB per process at w = 8.
     std::vector<std::int64_t> exact;
 
     // --- fast path (width >= 6) ---
@@ -220,6 +223,9 @@ class basic_wmed_evaluator {
   std::vector<double> acc_multi_;            ///< per-candidate running sums
 
   // --- reference path buffers (the point of keeping this a class) ---
+  /// Exact-result table at width >= 6, filled by the first
+  /// evaluate_reference() call (the shared state keeps none there).
+  std::vector<std::int64_t> reference_exact_;
   std::vector<std::uint64_t> scratch_;
   std::vector<std::uint64_t> in_words_;
   std::vector<std::uint64_t> out_words_;

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/component_handle.h"
@@ -176,6 +181,53 @@ TEST(search_session, job_parallel_bit_identical) {
     expect_same_designs(parallel.designs(), serial.designs());
     expect_same_front(parallel.front(), serial.front());
   }
+}
+
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          ("axc-session-test-" + name + "-" + std::to_string(::getpid())))
+      .string();
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+TEST(search_session, checkpoint_bytes_invariant_to_job_threads) {
+  // Shard workers run their jobs on every CPU, so a published checkpoint is
+  // written by a multi-threaded session: its bytes (the explicit final save
+  // and the last autosave alike) must not depend on the job thread count.
+  const approximation_config cfg = small_mult_config();
+  const circuit::netlist seed = mult::unsigned_multiplier(4);
+  sweep_plan plan = small_plan();
+  plan.targets.push_back(0.05);
+
+  std::string final_bytes[2];
+  std::string autosave_bytes[2];
+  const std::size_t thread_counts[2] = {1, 4};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string tag = "threads" + std::to_string(thread_counts[i]);
+    session_config options;
+    options.job_threads = thread_counts[i];
+    options.autosave_path = temp_path(tag + "-autosave");
+    options.autosave_generations = 64;
+    search_session session(make_component(cfg), seed, plan, options);
+    session.run();
+    ASSERT_TRUE(session.finished());
+    const std::string final_path = temp_path(tag + "-final");
+    ASSERT_TRUE(session.save_file(final_path));
+    final_bytes[i] = slurp(final_path);
+    autosave_bytes[i] = slurp(options.autosave_path);
+    std::filesystem::remove(final_path);
+    std::filesystem::remove(options.autosave_path);
+  }
+  EXPECT_FALSE(final_bytes[0].empty());
+  EXPECT_EQ(final_bytes[1], final_bytes[0]);
+  EXPECT_EQ(autosave_bytes[1], autosave_bytes[0]);
+  EXPECT_EQ(autosave_bytes[0], final_bytes[0]);
 }
 
 TEST(search_session, shared_evaluator_cache_built_once) {

@@ -302,11 +302,13 @@ void run_kill_resume_identity(const sweep_spec& spec, const char* name) {
   config.worker_autosave_generations = 16;
   config.work_dir = fresh_work_dir(name);
   config.worker_binary = worker;
-  // Shard 0, first life only: the last autosave before the crash (hit 3 =
-  // generation tick 48 at a 16-tick cadence) is torn at byte 350, then the
-  // process dies hard at the 60th generation tick — so the relaunch faces
-  // exactly the torn file (salvaged or rejected-then-fresh, both must
-  // reconverge).
+  // Shard 0, first life only: the worker's third save is torn at byte 350,
+  // and the process dies hard at its 60th generation tick.  Workers run
+  // their jobs on every CPU, and both hit counters are process-wide, so the
+  // ticks and saves of all job threads interleave in the count: the third
+  // save may be a 16-tick autosave or a job-completion save.  Whichever
+  // file the relaunch faces (torn, or intact but partial), it must salvage
+  // or reject-then-start-fresh and reconverge.
   config.shard_env = {
       {"AXC_FAULT=session-save-truncate@3=350;worker-crash-generation@60"}};
 

@@ -131,6 +131,28 @@ TEST(wmed_fast_path, distribution_order_visits_heavy_mass_first) {
   EXPECT_LE(aborted, full + 1e-12);
 }
 
+TEST(wmed_fast_path, wide_shared_state_keeps_no_exact_table) {
+  // At width >= 6 the exact planes carry the exact results, so the shared
+  // state drops the 2^(2w) table; only the reference sweep rebuilds one,
+  // privately and once per evaluator.
+  const mult_spec spec{8, false};
+  const dist::pmf d = dist::pmf::half_normal(256, 40.0);
+  const auto shared = wmed_evaluator::make_shared_state(spec, d);
+  EXPECT_TRUE(shared->exact.empty());
+  EXPECT_FALSE(shared->exact_planes.empty());
+
+  wmed_evaluator evaluator(shared);
+  const circuit::netlist nl = mult::truncated_multiplier(8, 4);
+  const double reference = evaluator.evaluate_reference(nl);
+  EXPECT_EQ(evaluator.evaluate_reference(nl), reference);
+  EXPECT_NEAR(evaluator.evaluate(nl), reference, 1e-13);
+  EXPECT_TRUE(shared->exact.empty());
+
+  const auto narrow = wmed_evaluator::make_shared_state(
+      mult_spec{4, false}, dist::pmf::uniform(16));
+  EXPECT_EQ(narrow->exact.size(), 256u);
+}
+
 TEST(wmed_fast_path, small_widths_share_the_reference_path) {
   // Widths below the in-word operand threshold fall back to the reference
   // sweep; both entry points must agree exactly.

@@ -11,13 +11,25 @@
 // without losing completed work — which is exactly what the supervision
 // tests do.
 //
+// Jobs run on every CPU the process may use (sched_getaffinity, so a worker
+// pinned by taskset or a cpuset does not oversubscribe); the session clamps
+// that to the pending jobs and is bit-identical at any job thread count.
+// Co-located shards oversubscribe on purpose: when one shard drains, the
+// other's threads take the freed cores.  glibc would give every job thread
+// its own malloc arena; jobs allocate only at job boundaries (the search
+// loop itself does not allocate), so main() caps the arenas at one and
+// peak RSS stays close to a single-threaded worker's.
+//
 // Deterministic fault injection is armed from the AXC_FAULT environment
 // variable (see support/fault.h):
 //   worker-sleep-start=MS        sleep before doing anything (stall tests)
 //   worker-crash-generation@K    _Exit(42) at the K-th generation tick
-// plus the session-save-* points inside save_file itself.
+// plus the session-save-* points inside save_file itself.  Hit counters are
+// process-wide, so K counts generation ticks (and saves) across all job
+// threads, in whatever order the threads reach them.
 //
 // Exit codes: 0 shard complete; 2 bad usage/spec; 3 final save failed.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +37,13 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "core/search_session.h"
 #include "core/shard_runner.h"
@@ -39,9 +58,26 @@ constexpr const char* kUsage =
 constexpr std::string_view kFaultSleepStart = "worker-sleep-start";
 constexpr std::string_view kFaultCrashGeneration = "worker-crash-generation";
 
+/// CPUs this process may run on: its affinity mask where the platform has
+/// one, else the machine's concurrency.
+std::size_t usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+#ifdef __GLIBC__
+  // One arena for all job threads: per-thread arenas only add resident pages.
+  mallopt(M_ARENA_MAX, 1);
+#endif
   std::string spec_path;
   std::string checkpoint_path;
   std::size_t autosave_generations = 0;
@@ -84,6 +120,7 @@ int main(int argc, char** argv) {
   axc::core::session_config options;
   options.autosave_path = checkpoint_path;
   options.autosave_generations = autosave_generations;
+  options.job_threads = usable_cpus();
   if (axc::fault::active()) {
     // Crash injection rides the generation tick stream; the stride-1
     // callback is only installed when a fault plan is armed, so production
