@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -214,56 +213,6 @@ void bm_wmed_evaluate_cgp_candidate_reference(benchmark::State& state) {
 }
 BENCHMARK(bm_wmed_evaluate_cgp_candidate_reference);
 
-void bm_wmed_evaluate_batch(benchmark::State& state) {
-  // Full (abort-free) batched sweep, per candidate: four staged mutants of
-  // the search candidate scored by one evaluate_batch call — read against
-  // bm_wmed_evaluate to see the batch executor's per-step amortization in
-  // isolation (same passes, same scan work, 1/4 the dispatch overhead).
-  const metrics::mult_spec spec{8, false};
-  metrics::wmed_evaluator evaluator(spec, dist::pmf::half_normal(256, 64.0));
-  const cgp::genotype parent = search_candidate();
-  cgp::cone_program cone;
-  cone.bind(parent);
-  rng gen(11);
-  constexpr std::size_t kLambda = 4;
-  std::vector<cgp::genotype> children(kLambda, parent);
-  std::vector<cgp::staged_child> staged(kLambda);
-  std::vector<const cgp::staged_child*> ptrs;
-  std::vector<metrics::batch_candidate> cands;
-  std::vector<std::uint32_t> dirty;
-  for (std::size_t i = 0; i < kLambda; ++i) {
-    // Stage four phenotype-changing mutants once; the timed loop re-scores
-    // the same batch.
-    for (;;) {
-      children[i] = parent;
-      dirty.clear();
-      children[i].mutate(gen, dirty);
-      if (cone.stage_child(parent, children[i], dirty, staged[i]) !=
-          cgp::cone_program::delta::identical) {
-        break;
-      }
-    }
-    ptrs.push_back(&staged[i]);
-    cands.push_back({staged[i].patch_nodes.data(),
-                     staged[i].patch_steps.data(),
-                     staged[i].patch_nodes.size(),
-                     staged[i].out_offsets.data()});
-  }
-  double results[kLambda];
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    evaluator.evaluate_batch(cone.program(), cone.batch_union(ptrs), cands,
-                             std::numeric_limits<double>::infinity(),
-                             {results, kLambda});
-    benchmark::DoNotOptimize(results[0]);
-    const auto t1 = std::chrono::steady_clock::now();
-    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count() /
-                           static_cast<double>(kLambda));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(bm_wmed_evaluate_batch)->UseManualTime();
-
 void bm_cgp_mutate_decode(benchmark::State& state) {
   cgp::parameters params;
   params.num_inputs = 16;
@@ -301,10 +250,10 @@ void bm_cgp_mutate_decode_cone(benchmark::State& state) {
 BENCHMARK(bm_cgp_mutate_decode_cone);
 
 /// Shared body of the per-offspring generation benches: one (1+lambda)
-/// generation through evaluate_children() — the lambda-batch pipeline
+/// generation through evaluate_child() per mutant — the loop
 /// evolver::run_incremental drives — with manual timing divided by lambda,
 /// so the reported number stays *per offspring* and comparable across the
-/// whole trajectory (pr5's solo-patch numbers included).
+/// whole trajectory.
 void run_generation_bench(benchmark::State& state,
                           cgp::incremental_evaluator& evaluator,
                           const cgp::genotype& parent, std::uint64_t seed) {
@@ -322,9 +271,8 @@ void run_generation_bench(benchmark::State& state,
       children[i].copy_genes_from(parent, dirty[i]);
       dirty[i].clear();
       children[i].mutate(gen, dirty[i]);
+      evals[i] = evaluator.evaluate_child(parent, children[i], dirty[i]);
     }
-    evaluator.evaluate_children(parent, children, dirty, 0, kLambda,
-                                evals.data());
     benchmark::DoNotOptimize(evals.data());
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count() /
@@ -334,12 +282,10 @@ void run_generation_bench(benchmark::State& state,
 }
 
 void bm_evolver_generation(benchmark::State& state) {
-  // One offspring of one (1+lambda) WMED search generation, through the
-  // lambda-batch genotype-native pipeline: record dirty genes, stage every
-  // mutant against the parent's schedule (identical mutants drop out), then
-  // one batched sweep executes and scores all of them — the per-step
-  // dispatch cost that bounds the solo executor is paid once per step, not
-  // once per step per mutant.  No netlist, no recompile, no allocation.
+  // One offspring of one (1+lambda) WMED search generation through the
+  // genotype-native pipeline: record dirty genes, patch the parent's
+  // schedule (identical mutants reuse the parent's score), one solo sweep
+  // with early abort, release.  No netlist, no recompile, no allocation.
   const metrics::mult_spec spec{8, false};
   const dist::pmf d = dist::pmf::half_normal(256, 64.0);
   const auto& lib = tech::cell_library::nangate45_like();
@@ -349,21 +295,8 @@ void bm_evolver_generation(benchmark::State& state) {
 }
 BENCHMARK(bm_evolver_generation)->UseManualTime();
 
-void bm_evolver_generation_solo(benchmark::State& state) {
-  // The same offspring loop with batching off (evaluate_child per mutant,
-  // apply/patch + solo sweep + release) — the pr5..pr8 inner loop, kept as
-  // the baseline the batch path is measured against.
-  const metrics::mult_spec spec{8, false};
-  const dist::pmf d = dist::pmf::half_normal(256, 64.0);
-  const auto& lib = tech::cell_library::nangate45_like();
-  const auto evaluator = core::make_incremental_wmed_evaluator(
-      spec, d, lib, 1e-4, simd::level::automatic, /*batch=*/false);
-  run_generation_bench(state, *evaluator, search_candidate(), 3);
-}
-BENCHMARK(bm_evolver_generation_solo)->UseManualTime();
-
 void bm_evolver_generation_scalar(benchmark::State& state) {
-  // The batched offspring loop with the whole sweep (batch executor + scan
+  // The same offspring loop with the whole sweep (step executor + scan
   // kernel) forced onto the scalar backends.
   const metrics::mult_spec spec{8, false};
   const dist::pmf d = dist::pmf::half_normal(256, 64.0);
@@ -373,48 +306,6 @@ void bm_evolver_generation_scalar(benchmark::State& state) {
   run_generation_bench(state, *evaluator, search_candidate(), 3);
 }
 BENCHMARK(bm_evolver_generation_scalar)->UseManualTime();
-
-void bm_evolver_generation_mt(benchmark::State& state) {
-  // A short incremental search driven end to end through
-  // evolver::run_incremental with N worker threads (contiguous lambda
-  // chunks, one staged batch per worker, per-worker evaluators) — the
-  // multi-core scaling trajectory of the search inner loop.  The manual
-  // time is one whole search per iteration, so google-benchmark sizes the
-  // run from real iterations; per-offspring wall time is the
-  // ns_per_offspring counter.  On a single-core box this records the
-  // synchronization overhead floor, not a speedup.
-  const metrics::mult_spec spec{8, false};
-  const dist::pmf d = dist::pmf::half_normal(256, 64.0);
-  const auto& lib = tech::cell_library::nangate45_like();
-  const auto cache = metrics::wmed_evaluator::make_shared_state(spec, d);
-  const cgp::genotype start = search_candidate();
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  cgp::evolver::options opts;
-  opts.iterations = 64;
-  const cgp::evolver::incremental_factory factory =
-      [&cache, &lib]() -> std::unique_ptr<cgp::incremental_evaluator> {
-    return core::make_incremental_wmed_evaluator<metrics::mult_spec>(
-        cache, lib, 1e-4);
-  };
-  double seconds = 0.0;
-  std::size_t offspring = 0;
-  for (auto _ : state) {
-    rng gen(3);
-    const auto t0 = std::chrono::steady_clock::now();
-    const cgp::evolver::run_result run =
-        cgp::evolver::run_incremental(start, factory, opts, threads, gen);
-    benchmark::DoNotOptimize(run.evaluations);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double elapsed = std::chrono::duration<double>(t1 - t0).count();
-    state.SetIterationTime(elapsed);
-    seconds += elapsed;
-    offspring += run.evaluations;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(offspring));
-  state.counters["ns_per_offspring"] = benchmark::Counter(
-      offspring == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(offspring));
-}
-BENCHMARK(bm_evolver_generation_mt)->Apply(mt_args)->UseManualTime();
 
 void bm_evolver_generation_roundtrip(benchmark::State& state) {
   // The pre-incremental inner loop (PR 1's bm_evolver_generation): mutate,
@@ -493,8 +384,8 @@ void bm_adder_wmed_table(benchmark::State& state) {
 BENCHMARK(bm_adder_wmed_table);
 
 void bm_evolver_generation_adder(benchmark::State& state) {
-  // One adder-search offspring through the lambda-batch pipeline — the
-  // second component class on the same fast path as the multipliers.
+  // One adder-search offspring through the same pipeline — the second
+  // component class on the same fast path as the multipliers.
   const metrics::adder_spec spec{8};
   const dist::pmf d = dist::pmf::half_normal(256, 48.0);
   const auto& lib = tech::cell_library::nangate45_like();
@@ -503,19 +394,6 @@ void bm_evolver_generation_adder(benchmark::State& state) {
   run_generation_bench(state, *evaluator, adder_search_candidate(), 7);
 }
 BENCHMARK(bm_evolver_generation_adder)->UseManualTime();
-
-void bm_evolver_generation_adder_solo(benchmark::State& state) {
-  // Batching off for the adder workload: on small cones the batch path's
-  // fixed staging cost is proportionally heavier, so this pair brackets
-  // where the crossover between the two inner loops sits.
-  const metrics::adder_spec spec{8};
-  const dist::pmf d = dist::pmf::half_normal(256, 48.0);
-  const auto& lib = tech::cell_library::nangate45_like();
-  const auto evaluator = core::make_incremental_wmed_evaluator(
-      spec, d, lib, 1e-3, simd::level::automatic, /*batch=*/false);
-  run_generation_bench(state, *evaluator, adder_search_candidate(), 7);
-}
-BENCHMARK(bm_evolver_generation_adder_solo)->UseManualTime();
 
 void bm_evolver_generation_adder_table(benchmark::State& state) {
   // The pre-port adder inner loop: decode + exhaustive sum table +
@@ -569,9 +447,8 @@ BENCHMARK(bm_sweep_session);
 
 void bm_sweep_session_mt(benchmark::State& state) {
   // The session sweep with its jobs spread over N job threads
-  // (session_config::job_threads) — the axis shard workers run on by
-  // default, complementing the lambda-thread view of
-  // bm_evolver_generation_mt.
+  // (session_config::job_threads) — the only parallel axis of the search,
+  // and the one shard workers run on by default.
   const core::approximation_config config = sweep_session_config();
   const circuit::netlist seed = mult::unsigned_multiplier(8);
   core::sweep_plan plan;

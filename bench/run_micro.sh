@@ -21,9 +21,9 @@
 # can --against name?".
 #
 # --threads N sets AXC_BENCH_THREADS for the run: the *_mt benches
-# (bm_evolver_generation_mt, bm_sweep_session_mt, bm_server_hit_mc) then
-# measure at N workers/connections instead of their default sweep — the
-# knob for recording a many-core trajectory point on a bigger box.
+# (bm_sweep_session_mt, bm_server_hit_mc) then measure at N
+# workers/connections instead of their default sweep — the knob for
+# recording a many-core trajectory point on a bigger box.
 #
 # Examples:
 #   bench/run_micro.sh                                  # default build dir
@@ -152,10 +152,8 @@ trajectory_path, run_path, against = sys.argv[1:4]
 # recorded before a bench switched to UseManualTime stay comparable.
 WATCHED = (
     "bm_wmed_evaluate",
-    "bm_wmed_evaluate_batch",
     "bm_evolver_generation",
     "bm_evolver_generation_adder",
-    "bm_evolver_generation_mt/2",
     "bm_sweep_session_mt/2",
     "bm_checkpoint_save",
     "bm_checkpoint_resume",

@@ -1,11 +1,9 @@
 #include "cgp/evolver.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "support/assert.h"
-#include "support/thread_pool.h"
 
 namespace axc::cgp {
 
@@ -19,26 +17,7 @@ bool not_worse(const evaluation& a, const evaluation& b) {
   return !better(b, a);
 }
 
-void incremental_evaluator::evaluate_children(
-    const genotype& parent, const std::vector<genotype>& children,
-    const std::vector<std::vector<std::uint32_t>>& dirty, std::size_t begin,
-    std::size_t end, evaluation* out) {
-  for (std::size_t k = begin; k < end; ++k) {
-    out[k - begin] = evaluate_child(parent, children[k], dirty[k]);
-  }
-}
-
 namespace {
-
-/// Parallel offspring evaluation writes one slot per worker; padding the
-/// slots to cache lines keeps a worker's store from invalidating its
-/// neighbours' lines (false sharing — measurable on the ~microsecond
-/// per-mutant evaluations of the incremental path).
-struct alignas(64) padded_evaluation {
-  evaluation value;
-};
-static_assert(alignof(padded_evaluation) == 64);
-static_assert(sizeof(padded_evaluation) == 64);
 
 /// One (1 + lambda) run, shared by the netlist-based and incremental
 /// pipelines.  Hooks:
@@ -91,14 +70,12 @@ evolver::run_result run_core(const genotype& seed, const init_fn& initial,
       result.stopped = true;
       break;
     }
-    // Mutation consumes the shared RNG serially, in offspring order —
-    // identical draws whether evaluation below is serial or parallel.
+    // Mutation consumes the shared RNG in offspring order.
     mutate_children(parent, children, gen);
     evaluate_offspring(parent, parent_eval, children, evals);
     result.evaluations += lambda;
 
-    // Deterministic reduction: scan in mutation order, keep the earliest
-    // strictly-best offspring (the serial loop's semantics).
+    // Scan in mutation order, keeping the earliest strictly-best offspring.
     std::size_t best_k = 0;
     for (std::size_t k = 1; k < lambda; ++k) {
       if (strictly_better(evals[k], evals[best_k])) best_k = k;
@@ -157,86 +134,14 @@ evolver::run_result evolver::run(const genotype& seed,
                   no_accept_hook, opts, gen);
 }
 
-evolver::run_result evolver::run_parallel(const genotype& seed,
-                                          const evaluator_factory& factory,
-                                          const options& opts,
-                                          std::size_t threads, rng& gen) {
-  AXC_EXPECTS(factory != nullptr);
-  AXC_EXPECTS(threads >= 1);
-
-  // One evaluator per offspring slot: no sharing across workers, and slot k
-  // always evaluates with the same instance regardless of scheduling.
-  const std::size_t lambda = seed.params().lambda;
-  std::vector<evaluate_fn> evaluators;
-  evaluators.reserve(lambda);
-  for (std::size_t k = 0; k < lambda; ++k) {
-    evaluators.push_back(factory());
-    AXC_EXPECTS(evaluators.back() != nullptr);
-  }
-  const auto initial = [&evaluators](const genotype& g) {
-    return evaluators[0](g.decode_cone());
-  };
-
-  if (threads == 1 || lambda == 1) {
-    const auto evaluate_offspring =
-        [&evaluators](const genotype&, const evaluation&,
-                      std::vector<genotype>& children,
-                      std::vector<evaluation>& evals) {
-          for (std::size_t k = 0; k < children.size(); ++k) {
-            evals[k] = evaluators[k](children[k].decode_cone());
-          }
-        };
-    return run_core(seed, initial, mutate_plain, evaluate_offspring,
-                    no_accept_hook, opts, gen);
-  }
-
-  thread_pool pool(std::min(threads, lambda));
-  std::vector<padded_evaluation> slots(lambda);
-  const auto evaluate_offspring = [&evaluators, &pool, &slots](
-                                      const genotype&, const evaluation&,
-                                      std::vector<genotype>& children,
-                                      std::vector<evaluation>& evals) {
-    parallel_for(pool, children.size(), [&](std::size_t k) {
-      slots[k].value = evaluators[k](children[k].decode_cone());
-    });
-    for (std::size_t k = 0; k < children.size(); ++k) {
-      evals[k] = slots[k].value;
-    }
-  };
-  return run_core(seed, initial, mutate_plain, evaluate_offspring,
-                  no_accept_hook, opts, gen);
-}
-
 evolver::run_result evolver::run_incremental(const genotype& seed,
-                                             const incremental_factory& factory,
-                                             const options& opts,
-                                             std::size_t threads, rng& gen) {
-  AXC_EXPECTS(factory != nullptr);
-  AXC_EXPECTS(threads >= 1);
-
-  const std::size_t lambda = seed.params().lambda;
-  const std::size_t workers = std::min(threads, lambda);
-  const bool batch = opts.batch_candidates;
-  // Serial: one evaluator serves every slot (one parent compile per
-  // acceptance).  Parallel: one evaluator per slot, never shared across
-  // workers; each rebinds lazily on its first evaluation after the parent
-  // changed.  Batch: one evaluator per *worker*, each scoring a contiguous
-  // chunk of the generation through evaluate_children().  Evaluations are
-  // pure functions of (parent, child), so every arrangement — and any
-  // worker scheduling — is bit-identical.
-  const std::size_t count = batch ? workers : (workers == 1 ? 1 : lambda);
-  std::vector<std::unique_ptr<incremental_evaluator>> evaluators;
-  evaluators.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    evaluators.push_back(factory());
-    AXC_EXPECTS(evaluators.back() != nullptr);
-  }
-
-  std::uint64_t parent_version = 1;
-  std::vector<std::uint64_t> bound_version(count, 0);
-  const auto initial = [&](const genotype& g) {
-    bound_version[0] = parent_version;
-    return evaluators[0]->evaluate_and_bind(g);
+                                             incremental_evaluator& evaluator,
+                                             const options& opts, rng& gen) {
+  // The evaluator is bound to one parent at a time; it rebinds lazily on
+  // the first evaluation after an acceptance changed the parent.
+  bool bound = true;
+  const auto initial = [&evaluator](const genotype& g) {
+    return evaluator.evaluate_and_bind(g);
   };
 
   // Mutation with dirty-gene recording; RNG draws are identical to the
@@ -248,6 +153,7 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
   // parent: its own last mutation, plus — after an acceptance, where
   // run_core swaps the winner into the parent slot — the winner's dirty
   // genes, appended to every other child's list by on_accept below.
+  const std::size_t lambda = seed.params().lambda;
   std::vector<std::vector<std::uint32_t>> dirty(lambda);
   std::vector<std::vector<std::uint32_t>> resync(lambda);
   const auto mutate_children = [&dirty, &resync](const genotype& parent,
@@ -261,16 +167,20 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
     }
   };
 
-  const auto bind_slot = [&](std::size_t slot, const genotype& parent,
-                             const evaluation& parent_eval) {
-    if (bound_version[slot] != parent_version) {
-      evaluators[slot]->rebind(parent, parent_eval);
-      bound_version[slot] = parent_version;
+  const auto evaluate_offspring = [&](const genotype& parent,
+                                      const evaluation& parent_eval,
+                                      std::vector<genotype>& children,
+                                      std::vector<evaluation>& evals) {
+    if (!bound) {
+      evaluator.rebind(parent, parent_eval);
+      bound = true;
+    }
+    for (std::size_t k = 0; k < children.size(); ++k) {
+      evals[k] = evaluator.evaluate_child(parent, children[k], dirty[k]);
     }
   };
-  const auto on_accept = [&parent_version, &dirty,
-                          &resync](std::size_t best_k) {
-    ++parent_version;
+  const auto on_accept = [&bound, &dirty, &resync](std::size_t best_k) {
+    bound = false;
     // The swapped-out child (slot best_k) is the old parent: it differs
     // from the new parent by exactly the accepted dirty genes, which is
     // already what resync[best_k] holds.  Every other child now also
@@ -279,85 +189,6 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
     for (std::size_t k = 0; k < resync.size(); ++k) {
       if (k == best_k) continue;
       resync[k].insert(resync[k].end(), acc.begin(), acc.end());
-    }
-  };
-
-  if (batch) {
-    if (workers == 1) {
-      const auto evaluate_offspring = [&](const genotype& parent,
-                                          const evaluation& parent_eval,
-                                          std::vector<genotype>& children,
-                                          std::vector<evaluation>& evals) {
-        bind_slot(0, parent, parent_eval);
-        evaluators[0]->evaluate_children(parent, children, dirty, 0,
-                                         children.size(), evals.data());
-      };
-      return run_core(seed, initial, mutate_children, evaluate_offspring,
-                      on_accept, opts, gen);
-    }
-    // Each worker batches a contiguous chunk into its own staging vector
-    // (separate heap blocks — no false sharing on the result stores).
-    thread_pool pool(workers);
-    const std::size_t chunk = (lambda + workers - 1) / workers;
-    std::vector<std::vector<evaluation>> stage(workers);
-    const auto evaluate_offspring = [&](const genotype& parent,
-                                        const evaluation& parent_eval,
-                                        std::vector<genotype>& children,
-                                        std::vector<evaluation>& evals) {
-      parallel_for(pool, workers, [&](std::size_t wk) {
-        const std::size_t begin = wk * chunk;
-        const std::size_t end = std::min(begin + chunk, children.size());
-        if (begin >= end) return;
-        bind_slot(wk, parent, parent_eval);
-        stage[wk].resize(end - begin);
-        evaluators[wk]->evaluate_children(parent, children, dirty, begin, end,
-                                          stage[wk].data());
-      });
-      for (std::size_t wk = 0; wk < workers; ++wk) {
-        const std::size_t begin = wk * chunk;
-        for (std::size_t i = 0; i < stage[wk].size() && begin + i < lambda;
-             ++i) {
-          evals[begin + i] = stage[wk][i];
-        }
-      }
-    };
-    return run_core(seed, initial, mutate_children, evaluate_offspring,
-                    on_accept, opts, gen);
-  }
-
-  const auto eval_one = [&](const genotype& parent,
-                            const evaluation& parent_eval,
-                            std::vector<genotype>& children, std::size_t k,
-                            evaluation& out) {
-    const std::size_t slot = count == 1 ? 0 : k;
-    bind_slot(slot, parent, parent_eval);
-    out = evaluators[slot]->evaluate_child(parent, children[k], dirty[k]);
-  };
-
-  if (workers == 1) {
-    const auto evaluate_offspring = [&](const genotype& parent,
-                                        const evaluation& parent_eval,
-                                        std::vector<genotype>& children,
-                                        std::vector<evaluation>& evals) {
-      for (std::size_t k = 0; k < children.size(); ++k) {
-        eval_one(parent, parent_eval, children, k, evals[k]);
-      }
-    };
-    return run_core(seed, initial, mutate_children, evaluate_offspring,
-                    on_accept, opts, gen);
-  }
-
-  thread_pool pool(workers);
-  std::vector<padded_evaluation> slots(lambda);
-  const auto evaluate_offspring = [&](const genotype& parent,
-                                      const evaluation& parent_eval,
-                                      std::vector<genotype>& children,
-                                      std::vector<evaluation>& evals) {
-    parallel_for(pool, children.size(), [&](std::size_t k) {
-      eval_one(parent, parent_eval, children, k, slots[k].value);
-    });
-    for (std::size_t k = 0; k < children.size(); ++k) {
-      evals[k] = slots[k].value;
     }
   };
   return run_core(seed, initial, mutate_children, evaluate_offspring,

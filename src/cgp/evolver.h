@@ -12,9 +12,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "cgp/genotype.h"
 #include "circuit/netlist.h"
@@ -62,27 +60,11 @@ class incremental_evaluator {
   virtual evaluation evaluate_child(const genotype& parent,
                                     const genotype& child,
                                     std::span<const std::uint32_t> dirty) = 0;
-
-  /// Evaluates children [begin, end) of one generation, writing
-  /// out[k - begin] for child k.  Contract: every slot must hold exactly
-  /// what evaluate_child() would return for that child — the batch form
-  /// exists so evaluators can amortize shared per-generation work (e.g.
-  /// one multi-candidate sweep over all mutants, see
-  /// core::incremental_wmed).  The default forwards to evaluate_child()
-  /// one by one.
-  virtual void evaluate_children(
-      const genotype& parent, const std::vector<genotype>& children,
-      const std::vector<std::vector<std::uint32_t>>& dirty, std::size_t begin,
-      std::size_t end, evaluation* out);
 };
 
 class evolver {
  public:
   using evaluate_fn = std::function<evaluation(const circuit::netlist&)>;
-  /// Creates one evaluator instance per worker thread.  Evaluators commonly
-  /// carry mutable scratch state (e.g. metrics::wmed_evaluator), so the
-  /// parallel evolver never shares one across threads.
-  using evaluator_factory = std::function<evaluate_fn()>;
   /// Called whenever the parent strictly improves.
   using progress_fn =
       std::function<void(std::size_t iteration, const evaluation&)>;
@@ -101,12 +83,6 @@ class evolver {
     /// instead of a few catastrophic ones, which matters at short search
     /// budgets (see DESIGN.md ablations).
     bool error_tiebreak{false};
-    /// run_incremental(): score each generation's lambda mutants through
-    /// the evaluator's batch hook (evaluate_children) instead of one
-    /// evaluate_child() call per mutant.  Pure execution knob —
-    /// bit-identical results either way — so it is excluded from
-    /// checkpoint fingerprints like the SIMD level.
-    bool batch_candidates{true};
     progress_fn on_improvement{};
     generation_fn on_generation{};
     /// Returning true ends the run before the next generation's mutation
@@ -135,32 +111,14 @@ class evolver {
   static run_result run(const genotype& seed, const evaluate_fn& evaluate,
                         const options& opts, rng& gen);
 
-  /// Parallel (1 + lambda): each generation's mutants are decoded and
-  /// evaluated across `threads` workers (capped by lambda), each offspring
-  /// slot owning its own evaluator from `factory`.  Mutation draws happen
-  /// serially on `gen` and the offspring reduction scans in mutation order,
-  /// so for a fixed seed and deterministic evaluators the result is
-  /// bit-identical to the serial run().
-  static run_result run_parallel(const genotype& seed,
-                                 const evaluator_factory& factory,
-                                 const options& opts, std::size_t threads,
-                                 rng& gen);
-
-  using incremental_factory =
-      std::function<std::unique_ptr<incremental_evaluator>()>;
-
   /// (1 + lambda) over the genotype-native incremental pipeline: mutants
-  /// are never decoded to netlists; each evaluator keeps the parent's
-  /// compiled schedule and receives (parent, child, dirty genes).  With
-  /// threads > 1 every offspring slot owns one evaluator (rebinding to a
-  /// new parent lazily on first use), with threads == 1 a single evaluator
-  /// serves all slots; both orderings reproduce the same result bit for
-  /// bit, and — given a conforming evaluator — the same result as run()
-  /// over full per-mutant recompilation.
+  /// are never decoded to netlists; `evaluator` keeps the parent's compiled
+  /// schedule and receives (parent, child, dirty genes) for each mutant in
+  /// turn.  Given a conforming evaluator the result is bit-identical to
+  /// run() over full per-mutant recompilation.
   static run_result run_incremental(const genotype& seed,
-                                    const incremental_factory& factory,
-                                    const options& opts, std::size_t threads,
-                                    rng& gen);
+                                    incremental_evaluator& evaluator,
+                                    const options& opts, rng& gen);
 };
 
 }  // namespace axc::cgp

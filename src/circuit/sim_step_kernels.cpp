@@ -31,13 +31,6 @@ std::size_t pack_scalar(const std::uint8_t* flags, std::size_t count,
   return n;
 }
 
-void run_steps_batch_scalar(const sim_step* table,
-                            const std::uint32_t* indices, std::size_t count,
-                            const sim_batch_lane* lanes, std::size_t n) {
-  run_steps_batch_w8<simd::vu64x8<simd::level::scalar>>(table, indices, count,
-                                                        lanes, n);
-}
-
 }  // namespace
 
 sim_steps_fn sim_steps_kernel_scalar() { return &run_steps_scalar; }
@@ -45,9 +38,6 @@ sim_steps_indexed_fn sim_steps_indexed_kernel_scalar() {
   return &run_steps_indexed_scalar;
 }
 sim_pack_fn sim_pack_kernel_scalar() { return &pack_scalar; }
-sim_steps_batch_fn sim_steps_batch_kernel_scalar() {
-  return &run_steps_batch_scalar;
-}
 
 }  // namespace detail
 
@@ -109,21 +99,6 @@ sim_pack_fn sim_pack_kernel(simd::level resolved) {
     if (kernel != nullptr) return kernel;
   }
   return detail::sim_pack_kernel_scalar();
-}
-
-sim_steps_batch_fn sim_steps_batch_kernel(simd::level resolved) {
-  sim_steps_batch_fn kernel = nullptr;
-  switch (resolved) {
-    case simd::level::avx512:
-      kernel = detail::sim_steps_batch_kernel_avx512();
-      break;
-    case simd::level::avx2:
-      kernel = detail::sim_steps_batch_kernel_avx2();
-      break;
-    default:
-      break;
-  }
-  return kernel != nullptr ? kernel : detail::sim_steps_batch_kernel_scalar();
 }
 
 }  // namespace axc::circuit

@@ -4,15 +4,13 @@
 // becomes load/op/store on whole rows instead of a scalar-u64 loop — the
 // per-gate switch dispatch is then the only scalar work left in a pass.
 //
-// Three executor shapes share one gate body: the dense shape walks a packed
+// Two executor shapes share one gate body: the dense shape walks a packed
 // step list (netlist-compiled schedules), the indexed shape walks a step
 // *table* through an active-index list (the genotype-native incremental
-// schedules, where the table is patched O(dirty) per mutant), and the batch
-// shape walks the table through an index list for several candidate arenas
-// at once — the lambda-batch evaluation engine.  The fourth kernel packs
-// cone flags into an active-index list — the only O(nodes) step left on the
-// incremental path, which AVX-512 collapses to compress-store chunks of
-// sixteen.
+// schedules, where the table is patched O(dirty) per mutant).  The third
+// kernel packs cone flags into an active-index list — the only O(nodes)
+// step left on the incremental path, which AVX-512 collapses to
+// compress-store chunks of sixteen.
 //
 // Each backend TU (sim_step_kernels*.cpp) instantiates these with its
 // simd::vu64x8 specialization under the matching -m flags.  Cases load only
@@ -99,194 +97,6 @@ void run_steps_indexed_w8(const sim_step* table, const std::uint32_t* indices,
   }
 }
 
-/// The lambda-batch walk: one pass over the index list executes every
-/// candidate arena before moving to the next step.  The point is
-/// instruction-bandwidth amortization, not memory: the solo executors are
-/// uop-throughput-bound at one vector op per ~14 front-end uops (step
-/// fetch, switch dispatch, loop), so the step fetch and dispatch happen
-/// ONCE here and each case loops over the arenas — the per-candidate
-/// marginal cost is just the load/op/store triple plus the tight inner
-/// loop, roughly half the solo front-end budget.  (Dispatching per
-/// candidate instead — exec_step inside the loop — re-pays the whole
-/// budget n times and measures *slower* than solo.)
-///
-/// Patched lanes are handled in here rather than by segmenting the index
-/// list around patch boundaries: the hot loop pays one predictable
-/// compare per step against the minimum outstanding patch node, and only
-/// steps at a patch boundary fall into the per-lane dispatch below.  The
-/// segmented alternative (cut the list, call the kernel per segment, run
-/// each lane's patch through the solo executor) costs an indirect call
-/// per lane per cut plus a lower_bound per segment — measurably ~35% of
-/// a whole pass at realistic patch densities.
-/// Body shared by every lane count: N > 0 is a compile-time lane count
-/// (the per-case lane loops below fully unroll and the arena pointers live
-/// in registers), N == 0 falls back to the runtime `n`.
-template <typename V, std::size_t N>
-void run_steps_batch_impl(const sim_step* table, const std::uint32_t* indices,
-                          std::size_t count, const sim_batch_lane* lanes,
-                          std::size_t n) {
-  const std::size_t nn = N != 0 ? N : n;
-  constexpr std::uint32_t kDone = 0xffffffffu;
-  std::uint64_t* ar[N != 0 ? N : kMaxBatchLanes];
-  std::size_t cur[N != 0 ? N : kMaxBatchLanes];
-  std::uint32_t next = kDone;  // min outstanding patch node over all lanes
-  for (std::size_t c = 0; c < nn; ++c) {
-    ar[c] = lanes[c].arena;
-    cur[c] = 0;
-    if (lanes[c].patch_count != 0 && lanes[c].patch_nodes[0] < next) {
-      next = lanes[c].patch_nodes[0];
-    }
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t idx = indices[i];
-    if (idx >= next) {
-      // Patch boundary: dispatch this step per lane, substituting each
-      // lane's own override.  Cursors pointing at nodes below idx name
-      // patches outside the index list (legal — those rows are never
-      // read); retire them in passing.
-      for (std::size_t c = 0; c < nn; ++c) {
-        const sim_batch_lane& lane = lanes[c];
-        std::size_t& k = cur[c];
-        while (k < lane.patch_count && lane.patch_nodes[k] < idx) ++k;
-        if (k < lane.patch_count && lane.patch_nodes[k] == idx) {
-          exec_step<V>(lane.patch_steps[k], lane.arena);
-          ++k;
-        } else {
-          exec_step<V>(table[idx], lane.arena);
-        }
-      }
-      next = kDone;
-      for (std::size_t c = 0; c < nn; ++c) {
-        if (cur[c] < lanes[c].patch_count &&
-            lanes[c].patch_nodes[cur[c]] < next) {
-          next = lanes[c].patch_nodes[cur[c]];
-        }
-      }
-      continue;
-    }
-    const sim_step& s = table[idx];
-    const std::uint32_t ia = s.in0;
-    const std::uint32_t ib = s.in1;
-    const std::uint32_t io = s.out;
-    switch (s.fn) {
-      case gate_fn::const0:
-        for (std::size_t c = 0; c < nn; ++c) {
-          V::zero().store(ar[c] + io);
-        }
-        break;
-      case gate_fn::const1:
-        for (std::size_t c = 0; c < nn; ++c) {
-          V::ones().store(ar[c] + io);
-        }
-        break;
-      case gate_fn::buf_a:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          V::load(p + ia).store(p + io);
-        }
-        break;
-      case gate_fn::not_a:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          (~V::load(p + ia)).store(p + io);
-        }
-        break;
-      case gate_fn::buf_b:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          V::load(p + ib).store(p + io);
-        }
-        break;
-      case gate_fn::not_b:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          (~V::load(p + ib)).store(p + io);
-        }
-        break;
-      case gate_fn::and2:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          (V::load(p + ia) & V::load(p + ib)).store(p + io);
-        }
-        break;
-      case gate_fn::nand2:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          (~(V::load(p + ia) & V::load(p + ib))).store(p + io);
-        }
-        break;
-      case gate_fn::or2:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          (V::load(p + ia) | V::load(p + ib)).store(p + io);
-        }
-        break;
-      case gate_fn::nor2:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          (~(V::load(p + ia) | V::load(p + ib))).store(p + io);
-        }
-        break;
-      case gate_fn::xor2:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          (V::load(p + ia) ^ V::load(p + ib)).store(p + io);
-        }
-        break;
-      case gate_fn::xnor2:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          (~(V::load(p + ia) ^ V::load(p + ib))).store(p + io);
-        }
-        break;
-      case gate_fn::andn_ab:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          V::andnot(V::load(p + ib), V::load(p + ia)).store(p + io);
-        }
-        break;
-      case gate_fn::andn_ba:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          V::andnot(V::load(p + ia), V::load(p + ib)).store(p + io);
-        }
-        break;
-      case gate_fn::orn_ab:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          (V::load(p + ia) | ~V::load(p + ib)).store(p + io);
-        }
-        break;
-      case gate_fn::orn_ba:
-        for (std::size_t c = 0; c < nn; ++c) {
-          std::uint64_t* const p = ar[c];
-          (~V::load(p + ia) | V::load(p + ib)).store(p + io);
-        }
-        break;
-    }
-  }
-}
-
-/// Lane-count dispatch: the common CGP batch sizes (lambda <= 4) get
-/// fully unrolled instantiations; anything larger takes the generic body.
-template <typename V>
-void run_steps_batch_w8(const sim_step* table, const std::uint32_t* indices,
-                        std::size_t count, const sim_batch_lane* lanes,
-                        std::size_t n) {
-  switch (n) {
-    case 1:
-      return run_steps_batch_impl<V, 1>(table, indices, count, lanes, n);
-    case 2:
-      return run_steps_batch_impl<V, 2>(table, indices, count, lanes, n);
-    case 3:
-      return run_steps_batch_impl<V, 3>(table, indices, count, lanes, n);
-    case 4:
-      return run_steps_batch_impl<V, 4>(table, indices, count, lanes, n);
-    default:
-      return run_steps_batch_impl<V, 0>(table, indices, count, lanes, n);
-  }
-}
-
 /// Backend entry points; null when the TU lacked the backend's ISA flags.
 [[nodiscard]] sim_steps_fn sim_steps_kernel_scalar();
 [[nodiscard]] sim_steps_fn sim_steps_kernel_avx2();
@@ -294,9 +104,6 @@ void run_steps_batch_w8(const sim_step* table, const std::uint32_t* indices,
 [[nodiscard]] sim_steps_indexed_fn sim_steps_indexed_kernel_scalar();
 [[nodiscard]] sim_steps_indexed_fn sim_steps_indexed_kernel_avx2();
 [[nodiscard]] sim_steps_indexed_fn sim_steps_indexed_kernel_avx512();
-[[nodiscard]] sim_steps_batch_fn sim_steps_batch_kernel_scalar();
-[[nodiscard]] sim_steps_batch_fn sim_steps_batch_kernel_avx2();
-[[nodiscard]] sim_steps_batch_fn sim_steps_batch_kernel_avx512();
 [[nodiscard]] sim_pack_fn sim_pack_kernel_scalar();
 [[nodiscard]] sim_pack_fn sim_pack_kernel_avx512();
 

@@ -21,28 +21,17 @@ void run_steps_indexed_avx2(const sim_step* table,
                                                         slots);
 }
 
-void run_steps_batch_avx2(const sim_step* table, const std::uint32_t* indices,
-                          std::size_t count, const sim_batch_lane* lanes,
-                          std::size_t n) {
-  run_steps_batch_w8<simd::vu64x8<simd::level::avx2>>(table, indices, count,
-                                                      lanes, n);
-}
-
 }  // namespace
 
 sim_steps_fn sim_steps_kernel_avx2() { return &run_steps_avx2; }
 sim_steps_indexed_fn sim_steps_indexed_kernel_avx2() {
   return &run_steps_indexed_avx2;
 }
-sim_steps_batch_fn sim_steps_batch_kernel_avx2() {
-  return &run_steps_batch_avx2;
-}
 
 #else
 
 sim_steps_fn sim_steps_kernel_avx2() { return nullptr; }
 sim_steps_indexed_fn sim_steps_indexed_kernel_avx2() { return nullptr; }
-sim_steps_batch_fn sim_steps_batch_kernel_avx2() { return nullptr; }
 
 #endif
 

@@ -1,9 +1,7 @@
 #include "circuit/simulator.h"
 
-#include <algorithm>
 #include <array>
 #include <bit>
-#include <limits>
 
 #include "support/assert.h"
 
@@ -132,7 +130,6 @@ void sim_program<W>::set_simd_level(simd::level l) {
   steps_fn_ = sim_steps_kernel(resolved);
   steps_idx_fn_ = sim_steps_indexed_kernel(resolved);
   pack_fn_ = sim_pack_kernel(resolved);
-  steps_batch_fn_ = sim_steps_batch_kernel(resolved);
 }
 
 template <std::size_t W>
@@ -160,41 +157,6 @@ void sim_program<W>::run_in_place(std::span<const std::uint64_t> inputs) {
   std::uint64_t* const base = slot_base();
   for (std::size_t i = 0; i < inputs.size(); ++i) base[i] = inputs[i];
   execute(base);
-}
-
-template <std::size_t W>
-void sim_program<W>::run_into(std::span<const std::uint64_t> inputs,
-                              std::span<std::uint64_t> arena) {
-  AXC_EXPECTS(inputs.size() == num_inputs_ * W);
-  AXC_EXPECTS(arena.size() >= slot_words());
-
-  std::uint64_t* const base = arena.data();
-  for (std::size_t i = 0; i < inputs.size(); ++i) base[i] = inputs[i];
-  execute(base);
-}
-
-template <std::size_t W>
-void sim_program<W>::run_batch(std::span<const std::uint64_t> inputs,
-                               std::span<const std::uint32_t> indices,
-                               std::span<const sim_batch_lane> batch) {
-  AXC_EXPECTS(W == 8 && indexed_);
-  AXC_EXPECTS(inputs.size() == num_inputs_ * W);
-  if (batch.empty()) return;
-  if (steps_batch_fn_ == nullptr) set_simd_level(simd::level::automatic);
-
-  const std::size_t n = batch.size();
-  for (std::size_t c = 0; c < n; ++c) {
-    std::uint64_t* const arena = batch[c].arena;
-    for (std::size_t i = 0; i < inputs.size(); ++i) arena[i] = inputs[i];
-  }
-
-  // The kernel owns the whole patched walk (patch lists and `indices` are
-  // both ascending); it keeps one patch cursor per lane, so chunk batches
-  // beyond its stack cap.
-  for (std::size_t c0 = 0; c0 < n; c0 += kMaxBatchLanes) {
-    steps_batch_fn_(table_.data(), indices.data(), indices.size(),
-                    batch.data() + c0, std::min(kMaxBatchLanes, n - c0));
-  }
 }
 
 template <std::size_t W>

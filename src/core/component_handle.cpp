@@ -17,11 +17,9 @@ basic_approximation_config<Spec> config_from_options(
   config.extra_columns = options.extra_columns;
   config.max_mutations = options.max_mutations;
   config.lambda = options.lambda;
-  config.threads = options.threads;
   config.error_tiebreak = options.error_tiebreak;
   config.incremental = options.incremental;
   config.simd = options.simd;
-  config.batch_candidates = options.batch_candidates;
   config.rng_seed = options.rng_seed;
   config.library = options.library;
   return config;

@@ -95,7 +95,7 @@ class component_handle {
 
   /// Hash of every result-affecting config knob (spec shape, distribution,
   /// search budget, RNG seed, function set, tie-break policy) — NOT of the
-  /// bit-identical execution knobs (threads, incremental).  Checkpoints
+  /// bit-identical execution knobs (incremental, simd).  Checkpoints
   /// embed this so resuming against a subtly different search is rejected
   /// instead of silently mixing incompatible jobs.
   [[nodiscard]] std::uint64_t fingerprint() const {
@@ -265,14 +265,10 @@ struct component_options {
   std::size_t extra_columns{64};
   unsigned max_mutations{5};
   std::size_t lambda{4};
-  std::size_t threads{1};
   bool error_tiebreak{true};
   bool incremental{true};
-  /// Scan kernel backend (bit-identical execution knob, like `threads`).
+  /// Scan kernel backend (bit-identical execution knob, like `incremental`).
   simd::level simd{simd::level::automatic};
-  /// Multi-candidate batch evaluation (bit-identical execution knob, like
-  /// `simd`; excluded from checkpoint fingerprints).
-  bool batch_candidates{true};
   std::uint64_t rng_seed{1};
   const tech::cell_library* library{&tech::cell_library::nangate45_like()};
 };

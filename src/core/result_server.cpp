@@ -88,7 +88,9 @@ std::optional<serve_request> parse_request(std::string_view text) {
   bool saw_verb = false;
   while (std::getline(is, line)) {
     if (line == "spec") {
-      auto spec = sweep_spec::read(is);
+      // Syntax only: a well-formed spec that fails validate() is answered
+      // `error` by process(), not `malformed`.
+      auto spec = sweep_spec::parse(is);
       if (!spec || !saw_verb) return std::nullopt;
       request.spec = *std::move(spec);
       return request;
@@ -518,6 +520,9 @@ serve_reply result_server::enqueue_miss(const serve_request& request,
 }
 
 serve_reply result_server::process(const serve_request& request) {
+  // Range-check before anything builds a component from the spec: a
+  // hostile width or distribution must not take the daemon down.
+  if (!request.spec.validate().empty()) return serve_reply{.status = "error"};
   if (request.verb == "table") return serve_table(request);
   const std::uint64_t key = request.spec.store_key();
   if (key == 0) return serve_reply{.status = "error"};

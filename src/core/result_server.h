@@ -68,7 +68,7 @@ namespace axc::core {
 //   [budget <%.17g>]           filter: front points with wmed <= budget
 //   [timeout-ms <N>]           wait only; how long to block
 //   spec
-//   <sweep_spec::write text, "axc-sweep-spec v1" ... "end">
+//   <sweep_spec::write text, "axc-sweep-spec v2" ... "end">
 //
 //   axc-serve-reply v1
 //   status <hit|miss-enqueued|miss-rejected|queued|running|failed|

@@ -8,9 +8,9 @@
 //   * a sweep_plan expands (targets x runs_per_target) into explicit jobs,
 //     each deterministic in (rng_seed, target, run_index) alone;
 //   * a job scheduler runs pending jobs on a thread_pool (job-level
-//     parallelism layered above the per-generation lambda parallelism) —
-//     results are bit-identical at any job_threads setting because jobs
-//     never share mutable state;
+//     parallelism, the search's only parallel axis) — results are
+//     bit-identical at any job_threads setting because jobs never share
+//     mutable state;
 //   * the per-(spec, distribution) evaluator tables are built once per
 //     session and shared by every job via the component_handle's cache;
 //   * observers get a structured progress_event stream (job started /
@@ -107,8 +107,7 @@ struct progress_event {
 
 struct session_config {
   /// Worker threads for running jobs concurrently (1 = in-order serial).
-  /// Layered above basic_approximation_config::threads (per-generation
-  /// lambda parallelism inside each job).
+  /// Each job itself runs single-threaded.
   std::size_t job_threads{1};
   /// Emit a job_generation event every N generations (0 = never).
   std::size_t generation_stride{0};

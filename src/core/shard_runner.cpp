@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -25,7 +26,11 @@ namespace axc::core {
 
 namespace {
 
-constexpr std::string_view kSpecMagic = "axc-sweep-spec v1";
+constexpr std::string_view kSpecMagic = "axc-sweep-spec v2";
+/// Operand widths the evaluator (>= 3: at least one 64-assignment block)
+/// and the compiled tables (2^(2w) entries) support.
+constexpr unsigned kMinSpecWidth = 3;
+constexpr unsigned kMaxSpecWidth = 12;
 constexpr std::string_view kJournalMagic = "coord v1";
 
 /// Coordinator crash points _Exit with 43 (44 is the store's mid-append
@@ -275,7 +280,6 @@ void sweep_spec::write(std::ostream& os) const {
   os << "extra-columns " << options.extra_columns << "\n";
   os << "max-mutations " << options.max_mutations << "\n";
   os << "lambda " << options.lambda << "\n";
-  os << "threads " << options.threads << "\n";
   os << "error-tiebreak " << (options.error_tiebreak ? 1 : 0) << "\n";
   os << "incremental " << (options.incremental ? 1 : 0) << "\n";
   os << "rng-seed " << options.rng_seed << "\n";
@@ -303,7 +307,40 @@ bool sweep_spec::write_file(const std::string& path) const {
   return os.good();
 }
 
+std::string sweep_spec::validate() const {
+  if (options.width < kMinSpecWidth || options.width > kMaxSpecWidth) {
+    return "width out of range";
+  }
+  if (options.lambda == 0) return "lambda must be positive";
+  if (options.max_mutations == 0) return "max-mutations must be positive";
+  for (const double target : plan.targets) {
+    if (!std::isfinite(target) || target < 0.0 || target > 1.0) {
+      return "target outside [0, 1]";
+    }
+  }
+  if (!options.distribution.empty() &&
+      options.distribution.size() != std::size_t{1} << options.width) {
+    return "distribution size does not match width";
+  }
+  if (const component_handle handle = make_component()) {
+    if (seed.num_inputs() != handle.seed_inputs() ||
+        seed.num_outputs() != handle.seed_outputs()) {
+      return "seed netlist shape does not match component";
+    }
+  }
+  return {};
+}
+
 std::optional<sweep_spec> sweep_spec::read(std::istream& is) {
+  std::optional<sweep_spec> spec = parse(is);
+  if (!spec) return spec;
+  if (const std::string problem = spec->validate(); !problem.empty()) {
+    return spec_error(problem.c_str());
+  }
+  return spec;
+}
+
+std::optional<sweep_spec> sweep_spec::parse(std::istream& is) {
   std::string line;
   if (!std::getline(is, line) || line != kSpecMagic) {
     return spec_error("bad magic line");
@@ -338,9 +375,6 @@ std::optional<sweep_spec> sweep_spec::read(std::istream& is) {
   if (!read_field("lambda", spec.options.lambda)) {
     return spec_error("missing lambda line");
   }
-  if (!read_field("threads", spec.options.threads)) {
-    return spec_error("missing threads line");
-  }
   if (!read_field("error-tiebreak", flag)) {
     return spec_error("missing error-tiebreak line");
   }
@@ -362,8 +396,16 @@ std::optional<sweep_spec> sweep_spec::read(std::istream& is) {
       return spec_error("bad distribution line");
     }
     std::vector<double> masses(count);
+    double total = 0.0;
     for (double& mass : masses) {
       if (!(ls >> mass)) return spec_error("truncated distribution line");
+      if (!std::isfinite(mass) || mass < 0.0) {
+        return spec_error("bad distribution mass");
+      }
+      total += mass;
+    }
+    if (count > 0 && !(total > 0.0)) {
+      return spec_error("distribution has no mass");
     }
     // from_masses, not from_weights: the renormalizing division is not
     // bit-stable across a text round trip, and the distribution feeds the

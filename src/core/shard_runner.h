@@ -8,7 +8,7 @@
 //   * sweep_spec is a self-contained, serializable description of one
 //     sweep (component name + options + plan + seed netlist) — everything
 //     a fresh process needs to rebuild the identical search ("axc-sweep-
-//     spec v1" text format);
+//     spec v2" text format);
 //   * split_plan() cuts the plan into contiguous target sub-plans; global
 //     job ids are shard job_offset + local id, so shard results map back
 //     into the full plan unambiguously;
@@ -107,13 +107,23 @@ struct sweep_spec {
   /// Registry lookup; empty handle when `component` is unknown.
   [[nodiscard]] component_handle make_component() const;
 
-  /// "axc-sweep-spec v1": strict text format (doubles as %.17g, netlist in
+  /// Range checks on top of the syntax: width in 3..12, positive lambda and
+  /// max-mutations, finite targets in [0, 1], an empty or 2^width-entry
+  /// distribution, and a seed netlist shaped like the component (when the
+  /// registry knows it).  Empty when the spec is usable, else the problem.
+  /// make_component() and store_key() are safe on any spec that passes.
+  [[nodiscard]] std::string validate() const;
+
+  /// "axc-sweep-spec v2": strict text format (doubles as %.17g, netlist in
   /// the circuit::write_netlist format, `end` terminator).  Spec files are
-  /// coordinator-written scratch, so read() is strict — any damage returns
-  /// nullopt.
+  /// coordinator-written scratch, so read() is strict — any damage, or a
+  /// spec validate() rejects, returns nullopt.
   void write(std::ostream& os) const;
   [[nodiscard]] bool write_file(const std::string& path) const;
   [[nodiscard]] static std::optional<sweep_spec> read(std::istream& is);
+  /// read() without the validate() step: syntax only.  For callers that
+  /// answer a well-formed but unusable spec differently from damage.
+  [[nodiscard]] static std::optional<sweep_spec> parse(std::istream& is);
   [[nodiscard]] static std::optional<sweep_spec> read_file(
       const std::string& path);
 

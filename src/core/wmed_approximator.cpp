@@ -28,11 +28,8 @@ class incremental_wmed final : public cgp::incremental_evaluator {
  public:
   incremental_wmed(wmed_shared_cache<Spec> cache,
                    const tech::cell_library& lib, double target,
-                   simd::level simd, bool batch)
-      : evaluator_(std::move(cache), simd),
-        lib_(&lib),
-        target_(target),
-        batch_(batch) {}
+                   simd::level simd)
+      : evaluator_(std::move(cache), simd), lib_(&lib), target_(target) {}
 
   cgp::evaluation evaluate_and_bind(const cgp::genotype& parent) override {
     cone_.bind(parent);
@@ -58,60 +55,6 @@ class incremental_wmed final : public cgp::incremental_evaluator {
     return eval;
   }
 
-  void evaluate_children(const cgp::genotype& parent,
-                         const std::vector<cgp::genotype>& children,
-                         const std::vector<std::vector<std::uint32_t>>& dirty,
-                         std::size_t begin, std::size_t end,
-                         cgp::evaluation* out) override {
-    if (!batch_) {
-      cgp::incremental_evaluator::evaluate_children(parent, children, dirty,
-                                                    begin, end, out);
-      return;
-    }
-    // Stage every child first — the schedule keeps modelling the parent,
-    // identical mutants drop out with the parent's score — then score the
-    // survivors in one interleaved batch sweep: per pass, one
-    // run_batch() call executes all of them (amortizing the per-step
-    // dispatch cost the solo executor pays per candidate) and one
-    // multi-candidate kernel call scores them against exact planes read
-    // once for the whole batch.
-    const std::size_t n = end - begin;
-    if (staged_.size() < n) staged_.resize(n);
-    live_slots_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const cgp::cone_program::delta d = cone_.stage_child(
-          parent, children[begin + i], dirty[begin + i], staged_[i]);
-      if (d == cgp::cone_program::delta::identical) {
-        out[i] = parent_eval_;
-      } else {
-        live_slots_.push_back(i);
-      }
-    }
-    if (live_slots_.empty()) return;
-    staged_ptrs_.clear();
-    cands_.clear();
-    for (const std::size_t i : live_slots_) {
-      const cgp::staged_child& sc = staged_[i];
-      staged_ptrs_.push_back(&sc);
-      cands_.push_back(metrics::batch_candidate{
-          sc.patch_nodes.data(), sc.patch_steps.data(),
-          sc.patch_nodes.size(), sc.out_offsets.data()});
-    }
-    errors_.resize(live_slots_.size());
-    evaluator_.evaluate_batch(cone_.program(), cone_.batch_union(staged_ptrs_),
-                              cands_, target_, errors_);
-    for (std::size_t j = 0; j < live_slots_.size(); ++j) {
-      const std::size_t i = live_slots_[j];
-      out[i].error = errors_[j];
-      out[i].feasible = errors_[j] <= target_;
-      out[i].area =
-          out[i].feasible
-              ? tech::estimate_area(
-                    cone_.stage_fns(children[begin + i], staged_[i]), *lib_)
-              : 0.0;
-    }
-  }
-
  private:
   cgp::evaluation score() {
     cgp::evaluation eval;
@@ -128,13 +71,7 @@ class incremental_wmed final : public cgp::incremental_evaluator {
   cgp::cone_program cone_;
   const tech::cell_library* lib_;
   double target_;
-  bool batch_;
   cgp::evaluation parent_eval_{};
-  std::vector<cgp::staged_child> staged_;        ///< batch scratch, reused
-  std::vector<const cgp::staged_child*> staged_ptrs_;
-  std::vector<metrics::batch_candidate> cands_;
-  std::vector<std::size_t> live_slots_;
-  std::vector<double> errors_;
 };
 
 }  // namespace
@@ -160,18 +97,18 @@ void finalize_config(basic_approximation_config<Spec>& config) {
 template <metrics::component_spec Spec>
 std::unique_ptr<cgp::incremental_evaluator> make_incremental_wmed_evaluator(
     wmed_shared_cache<Spec> cache, const tech::cell_library& lib,
-    double target, simd::level simd, bool batch) {
+    double target, simd::level simd) {
   return std::make_unique<incremental_wmed<Spec>>(std::move(cache), lib,
-                                                  target, simd, batch);
+                                                  target, simd);
 }
 
 template <metrics::component_spec Spec>
 std::unique_ptr<cgp::incremental_evaluator> make_incremental_wmed_evaluator(
     const Spec& spec, const dist::pmf& d, const tech::cell_library& lib,
-    double target, simd::level simd, bool batch) {
+    double target, simd::level simd) {
   return make_incremental_wmed_evaluator<Spec>(
       metrics::basic_wmed_evaluator<Spec>::make_shared_state(spec, d), lib,
-      target, simd, batch);
+      target, simd);
 }
 
 template <metrics::component_spec Spec>
@@ -212,7 +149,6 @@ std::optional<evolved_design> run_search_job(
   cgp::evolver::options opts;
   opts.iterations = config.iterations;
   opts.error_tiebreak = config.error_tiebreak;
-  opts.batch_candidates = config.batch_candidates;
   opts.on_improvement = hooks.on_improvement;
   opts.on_generation = hooks.on_generation;
   opts.should_stop = hooks.should_stop;
@@ -221,46 +157,21 @@ std::optional<evolved_design> run_search_job(
     if (config.incremental && config.spec.width >= 6) {
       // Genotype-native pipeline: mutants never round-trip through a
       // netlist; the parent's compiled schedule is shared and patched.
-      const cgp::evolver::incremental_factory factory = [&cache, lib, target,
-                                                         &config] {
-        return make_incremental_wmed_evaluator<Spec>(
-            cache, *lib, target, config.simd, config.batch_candidates);
-      };
-      return cgp::evolver::run_incremental(start, factory, opts,
-                                           config.threads, gen);
+      const auto evaluator = make_incremental_wmed_evaluator<Spec>(
+          cache, *lib, target, config.simd);
+      return cgp::evolver::run_incremental(start, *evaluator, opts, gen);
     }
 
     // Netlist-based fallback (small widths and parity testing).  Eq. 1
     // scoring as above, with the sweep aborting at the target.
-    const auto score = [lib, target](
-                           metrics::basic_wmed_evaluator<Spec>& evaluator,
-                           const circuit::netlist& nl) {
-      const double error = evaluator.evaluate(nl, target);
-      cgp::evaluation eval;
-      eval.error = error;
-      eval.feasible = error <= target;
-      eval.area = eval.feasible ? tech::estimate_area(nl, *lib) : 0.0;
-      return eval;
-    };
-    if (config.threads > 1) {
-      // Parallel lambda-evaluation gives every offspring slot a private
-      // evaluator (they carry per-candidate scratch and sim programs).
-      const cgp::evolver::evaluator_factory factory =
-          [&cache, score, &config]() -> cgp::evolver::evaluate_fn {
-        auto evaluator =
-            std::make_shared<metrics::basic_wmed_evaluator<Spec>>(cache,
-                                                                  config.simd);
-        return [evaluator, score](const circuit::netlist& nl) {
-          return score(*evaluator, nl);
-        };
-      };
-      return cgp::evolver::run_parallel(start, factory, opts,
-                                        config.threads, gen);
-    }
     return cgp::evolver::run(
         start,
-        [&wmed, score](const circuit::netlist& nl) {
-          return score(wmed, nl);
+        [&wmed, lib, target](const circuit::netlist& nl) {
+          cgp::evaluation eval;
+          eval.error = wmed.evaluate(nl, target);
+          eval.feasible = eval.error <= target;
+          eval.area = eval.feasible ? tech::estimate_area(nl, *lib) : 0.0;
+          return eval;
         },
         opts, gen);
   }();
@@ -332,19 +243,19 @@ template std::unique_ptr<cgp::incremental_evaluator>
 make_incremental_wmed_evaluator<metrics::mult_spec>(const metrics::mult_spec&,
                                                     const dist::pmf&,
                                                     const tech::cell_library&,
-                                                    double, simd::level, bool);
+                                                    double, simd::level);
 template std::unique_ptr<cgp::incremental_evaluator>
 make_incremental_wmed_evaluator<metrics::adder_spec>(
     const metrics::adder_spec&, const dist::pmf&, const tech::cell_library&,
-    double, simd::level, bool);
+    double, simd::level);
 template std::unique_ptr<cgp::incremental_evaluator>
 make_incremental_wmed_evaluator<metrics::mult_spec>(
     wmed_shared_cache<metrics::mult_spec>, const tech::cell_library&, double,
-    simd::level, bool);
+    simd::level);
 template std::unique_ptr<cgp::incremental_evaluator>
 make_incremental_wmed_evaluator<metrics::adder_spec>(
     wmed_shared_cache<metrics::adder_spec>, const tech::cell_library&, double,
-    simd::level, bool);
+    simd::level);
 
 std::vector<double> default_wmed_targets() {
   // 14 log-spaced levels spanning the paper's WMED axis (0.0001 % .. 10 %),

@@ -64,10 +64,6 @@ struct basic_approximation_config {
   std::size_t extra_columns{64};
   unsigned max_mutations{5};  ///< h
   std::size_t lambda{4};
-  /// Worker threads for evaluating the lambda mutants of each generation
-  /// (1 = serial).  Results are bit-identical across thread counts: each
-  /// offspring slot owns its own evaluator and the reduction is ordered.
-  std::size_t threads{1};
   /// Bias neutral drift toward lower WMED at equal area (see
   /// cgp::evolver::options::error_tiebreak).  On by default: at practical
   /// search budgets it steers the error budget into many small deviations,
@@ -80,16 +76,9 @@ struct basic_approximation_config {
   /// Scan kernel backend for the WMED sweep (metrics/scan_kernels.h).
   /// `automatic` resolves to the strongest compiled-in backend the CPU
   /// supports (AXC_SIMD environment override honoured); every level is
-  /// bit-identical, so like `threads`/`incremental` this knob never changes
-  /// results and stays out of the checkpoint fingerprint.
+  /// bit-identical, so like `incremental` this knob never changes results
+  /// and stays out of the checkpoint fingerprint.
   simd::level simd{simd::level::automatic};
-  /// Score each generation's lambda mutants in one multi-candidate batch
-  /// sweep (cone_program::stage_child + evaluate_batch) instead of one
-  /// patched sweep per mutant.  Pure execution knob like `simd`/`threads`:
-  /// bit-identical results either way (parity-tested in
-  /// tests/test_batch_eval.cpp), so it stays out of the checkpoint
-  /// fingerprint.  Off is only useful for parity tests and benchmarks.
-  bool batch_candidates{true};
   std::vector<circuit::gate_fn> function_set{
       circuit::default_function_set().begin(),
       circuit::default_function_set().end()};
@@ -209,41 +198,37 @@ using adder_wmed_approximator = basic_wmed_approximator<metrics::adder_spec>;
 /// `incremental` is on: cone_program compile/patch + bit-plane sweep with
 /// early abort at `target` + netlist-free area estimation.  Exposed for
 /// benches and parity tests.  `simd` picks the scan kernel backend
-/// (bit-identical at every level; see approximation_config::simd);
-/// `batch` toggles the delta/batch path (approximation_config::
-/// batch_candidates — also bit-identical).
+/// (bit-identical at every level; see approximation_config::simd).
 template <metrics::component_spec Spec>
 std::unique_ptr<cgp::incremental_evaluator> make_incremental_wmed_evaluator(
     const Spec& spec, const dist::pmf& d, const tech::cell_library& lib,
-    double target, simd::level simd = simd::level::automatic,
-    bool batch = true);
+    double target, simd::level simd = simd::level::automatic);
 
 /// Same, attaching to a pre-built shared cache instead of rebuilding the
-/// exact planes — what run_search_job hands each lambda slot.
+/// exact planes — what run_search_job scores its mutants with.
 template <metrics::component_spec Spec>
 std::unique_ptr<cgp::incremental_evaluator> make_incremental_wmed_evaluator(
     wmed_shared_cache<Spec> cache, const tech::cell_library& lib,
-    double target, simd::level simd = simd::level::automatic,
-    bool batch = true);
+    double target, simd::level simd = simd::level::automatic);
 
 extern template std::unique_ptr<cgp::incremental_evaluator>
 make_incremental_wmed_evaluator<metrics::mult_spec>(
     wmed_shared_cache<metrics::mult_spec>, const tech::cell_library&, double,
-    simd::level, bool);
+    simd::level);
 extern template std::unique_ptr<cgp::incremental_evaluator>
 make_incremental_wmed_evaluator<metrics::adder_spec>(
     wmed_shared_cache<metrics::adder_spec>, const tech::cell_library&, double,
-    simd::level, bool);
+    simd::level);
 
 extern template std::unique_ptr<cgp::incremental_evaluator>
 make_incremental_wmed_evaluator<metrics::mult_spec>(const metrics::mult_spec&,
                                                     const dist::pmf&,
                                                     const tech::cell_library&,
-                                                    double, simd::level, bool);
+                                                    double, simd::level);
 extern template std::unique_ptr<cgp::incremental_evaluator>
 make_incremental_wmed_evaluator<metrics::adder_spec>(
     const metrics::adder_spec&, const dist::pmf&, const tech::cell_library&,
-    double, simd::level, bool);
+    double, simd::level);
 
 /// The 14 log-spaced WMED targets (as fractions) used for case study 1,
 /// spanning the paper's 0.0001 % .. 10 % axis.

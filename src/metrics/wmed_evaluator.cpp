@@ -133,7 +133,6 @@ basic_wmed_evaluator<Spec>::basic_wmed_evaluator(
   AXC_EXPECTS(shared_ != nullptr);
   simd_level_ = resolve_scan_level(simd);
   kernel_ = scan_kernel(simd_level_);
-  multi_kernel_ = scan_multi_kernel(simd_level_);
   // One coherent backend for the whole sweep: the simulator's step executor
   // follows the scan level (clamped by its own availability).
   program_.set_simd_level(simd_level_);
@@ -141,11 +140,10 @@ basic_wmed_evaluator<Spec>::basic_wmed_evaluator(
 }
 
 template <component_spec Spec>
-double basic_wmed_evaluator<Spec>::weighted_total(
-    const std::int64_t* sums) const {
+double basic_wmed_evaluator<Spec>::weighted_total() const {
   double acc = 0.0;
-  for (std::size_t a = 0; a < shared_->weight.size(); ++a) {
-    acc += shared_->weight[a] * static_cast<double>(sums[a]);
+  for (std::size_t a = 0; a < err_sums_.size(); ++a) {
+    acc += shared_->weight[a] * static_cast<double>(err_sums_[a]);
   }
   return acc;
 }
@@ -196,7 +194,7 @@ double basic_wmed_evaluator<Spec>::sweep(circuit::sim_program<kLanes>& program,
       if (acc > abort_above) return acc;
     }
   }
-  return weighted_total(err_sums_.data());
+  return weighted_total();
 }
 
 template <component_spec Spec>
@@ -220,112 +218,6 @@ double basic_wmed_evaluator<Spec>::evaluate_program(
   // External programs (cone_program) sweep on this evaluator's backend too.
   program.set_simd_level(simd_level_);
   return sweep(program, abort_above);
-}
-
-template <component_spec Spec>
-void basic_wmed_evaluator<Spec>::evaluate_batch(
-    circuit::sim_program<kLanes>& program,
-    std::span<const std::uint32_t> indices,
-    std::span<const batch_candidate> cands, double abort_above,
-    std::span<double> results) {
-  const shared_state& s = *shared_;
-  const std::size_t n = cands.size();
-  AXC_EXPECTS(results.size() == n);
-  AXC_EXPECTS(s.spec.width >= 6);
-  AXC_EXPECTS(program.num_inputs() == 2 * s.spec.width);
-  AXC_EXPECTS(program.num_outputs() == s.spec.result_bits());
-  if (n == 0) return;
-  program.set_simd_level(simd_level_);
-
-  const unsigned w = s.spec.width;
-  const unsigned no = s.spec.result_bits();
-  const unsigned planes = static_cast<unsigned>(s.planes);
-  const bool sgn = s.spec.result_is_signed();
-  const std::size_t oc = s.weight.size();
-
-  // Candidate arenas: a 64-byte-rounded stride per candidate off a
-  // 64-byte-aligned base, so every signal row the batch executor touches is
-  // one whole cache line (std::vector alone only guarantees 16 bytes).
-  const std::size_t sw = program.slot_words();
-  const std::size_t stride = (sw + 7) & ~std::size_t{7};
-  multi_arena_.resize(n * stride + 7);
-  const auto pbase = reinterpret_cast<std::uintptr_t>(multi_arena_.data());
-  std::uint64_t* const arena0 =
-      multi_arena_.data() + ((~pbase + 1) & 63) / 8;
-
-  // Arena slices and output rows are pass-invariant — resolve once.
-  rows_multi_.resize(n * no);
-  for (std::size_t c = 0; c < n; ++c) {
-    const std::uint64_t* const carena = arena0 + c * stride;
-    for (std::size_t o = 0; o < no; ++o) {
-      rows_multi_[c * no + o] = carena + cands[c].out_offsets[o];
-    }
-  }
-
-  err_multi_.resize(n * oc);
-  totals_multi_.resize(n * kLanes);
-  lanes_.resize(n);
-  live_.assign(n, 1);
-  live_idx_.resize(n);
-  acc_multi_.assign(n, 0.0);
-
-  const std::size_t in_stride = 2 * std::size_t{w} * kLanes;
-  const std::uint64_t* in_planes = s.input_planes.data();
-  const std::uint64_t* exact_planes = s.exact_planes.data();
-  const std::uint32_t* order = s.block_order.data();
-  const std::size_t first_mask = (std::size_t{1} << (w - 6)) - 1;
-
-  std::size_t remaining = n;
-  for (std::size_t pass = 0; pass < s.pass_count && remaining > 0; ++pass) {
-    // Ascending candidate order throughout — abort bookkeeping below then
-    // matches a sequence of independent solo evaluations bit for bit.
-    std::size_t live_count = 0;
-    for (std::size_t c = 0; c < n; ++c) {
-      if (live_[c] != 0) {
-        live_idx_[live_count] = static_cast<std::uint32_t>(c);
-        lanes_[live_count] = circuit::sim_batch_lane{
-            arena0 + c * stride, cands[c].patch_nodes, cands[c].patch_steps,
-            cands[c].patch_count};
-        ++live_count;
-      }
-    }
-
-    program.run_batch({in_planes + pass * in_stride, in_stride}, indices,
-                      {lanes_.data(), live_count});
-    multi_kernel_(exact_planes + pass * planes * kLanes, rows_multi_.data(),
-                  planes, no, sgn, live_idx_.data(), live_count,
-                  totals_multi_.data());
-
-    for (std::size_t i = 0; i < live_count; ++i) {
-      const std::size_t c = live_idx_[i];
-      std::int64_t* const errs = err_multi_.data() + c * oc;
-      double acc = acc_multi_[c];
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const std::size_t pos = pass * kLanes + l;
-        const std::size_t a = order[pos] >> (w - 6);
-        const std::int64_t t = totals_multi_[i * kLanes + l];
-        if ((pos & first_mask) == 0) {
-          errs[a] = t;
-        } else {
-          errs[a] += t;
-        }
-        acc += s.weight[a] * static_cast<double>(t);
-        if (acc > abort_above) {
-          live_[c] = 0;
-          results[c] = acc;
-          --remaining;
-          break;
-        }
-      }
-      acc_multi_[c] = acc;
-    }
-  }
-
-  for (std::size_t c = 0; c < n; ++c) {
-    if (live_[c] != 0) {
-      results[c] = weighted_total(err_multi_.data() + c * oc);
-    }
-  }
 }
 
 template <component_spec Spec>

@@ -33,8 +33,7 @@
 //     per-block int64 error totals and the running weighted accumulator are
 //     applied in the exact per-block order of the pre-batch code, so both
 //     completed values and aborted partial values stay bit-identical to it
-//     (and order-independent on completion, identical across serial and
-//     parallel searches).
+//     (and order-independent on completion).
 //  4. *Distribution-ordered sweep over precompiled planes.*  Blocks are
 //     visited in descending D(a) mass, so on infeasible mutants the
 //     early-abort bound trips after the fewest possible passes.  Everything
@@ -56,11 +55,9 @@
 // build-your-own behaviour.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "circuit/netlist.h"
@@ -74,19 +71,6 @@
 
 namespace axc::metrics {
 
-/// One child candidate of an evaluate_batch() call, described against the
-/// parent the sim program models (built by cgp::cone_program::stage_child).
-/// `patch_nodes`/`patch_steps` are the step-table entries this child
-/// overrides (ascending table indices, child-gene contents) and
-/// `out_offsets` its premultiplied output row offsets — exactly the
-/// sim_batch_lane contract minus the arena, which the evaluator owns.
-struct batch_candidate {
-  const std::uint32_t* patch_nodes{nullptr};
-  const circuit::sim_step* patch_steps{nullptr};
-  std::size_t patch_count{0};
-  const std::uint32_t* out_offsets{nullptr};
-};
-
 template <component_spec Spec>
 class basic_wmed_evaluator {
  public:
@@ -98,8 +82,8 @@ class basic_wmed_evaluator {
   /// dominates evaluator construction (it enumerates all 2^(2w) operand
   /// pairs), yet a design-space sweep uses the same
   /// (spec, distribution) for every run — so a session builds it once via
-  /// make_shared_state() and every evaluator (one per job, plus one per
-  /// lambda slot in parallel searches) attaches to the same immutable copy.
+  /// make_shared_state() and every evaluator (one per job) attaches to the
+  /// same immutable copy.
   struct shared_state {
     Spec spec{};
     /// weight[a] = D(a) / (2^w * output_scale) so WMED = sum weight[a]*|err|.
@@ -162,25 +146,6 @@ class basic_wmed_evaluator {
       const circuit::netlist& nl,
       double abort_above = std::numeric_limits<double>::infinity());
 
-  // --- lambda-batch candidate evaluation ----------------------------------
-
-  /// Scores a whole batch of children in one interleaved sweep.  `program`
-  /// must model the bound *parent* (indexed schedule; its table is never
-  /// touched) and `indices` is the union execution list from
-  /// cgp::cone_program::batch_union().  Per pass, one
-  /// sim_program::run_batch call executes every still-live candidate into
-  /// its own 64-byte-aligned arena slice — amortizing the per-step
-  /// dispatch cost that bounds the solo executor across the batch — and
-  /// one multi-candidate scan kernel call scores them all against the
-  /// shared exact planes (read once, L1-hot).  results[c] receives exactly
-  /// what patching + evaluate_program() of child c would return, bit for
-  /// bit, including per-candidate abort partials (candidates abort
-  /// independently and drop out of later passes).
-  void evaluate_batch(circuit::sim_program<lanes>& program,
-                      std::span<const std::uint32_t> indices,
-                      std::span<const batch_candidate> cands,
-                      double abort_above, std::span<double> results);
-
   [[nodiscard]] const Spec& spec() const { return shared_->spec; }
   /// The attached immutable tables (for cache-reuse assertions/sharing).
   [[nodiscard]] const std::shared_ptr<const shared_state>& shared() const {
@@ -195,9 +160,9 @@ class basic_wmed_evaluator {
   /// The operand-major bit-plane sweep shared by evaluate() and
   /// evaluate_program().
   double sweep(circuit::sim_program<kLanes>& program, double abort_above);
-  /// Fixed-order weighted reduction of per-operand totals (the exact
+  /// Fixed-order weighted reduction of err_sums_ (the exact
   /// order-independent WMED of a completed sweep).
-  [[nodiscard]] double weighted_total(const std::int64_t* sums) const;
+  [[nodiscard]] double weighted_total() const;
 
   std::shared_ptr<const shared_state> shared_;
   simd::level simd_level_{simd::level::scalar};
@@ -208,19 +173,6 @@ class basic_wmed_evaluator {
   /// Candidate output plane rows inside the program's slot buffer (filled
   /// once per sweep via sim_program::output_rows).
   std::vector<const std::uint64_t*> out_rows_;
-
-  // --- batch path state ---------------------------------------------------
-  scan_multi_fn multi_kernel_{nullptr};
-  /// Per-candidate slot arenas: count slices of a 64-byte-rounded stride,
-  /// base rounded to a 64-byte boundary (row loads never split lines).
-  std::vector<std::uint64_t> multi_arena_;
-  std::vector<circuit::sim_batch_lane> lanes_;    ///< live-dense, per pass
-  std::vector<const std::uint64_t*> rows_multi_;  ///< candidate-major rows
-  std::vector<std::int64_t> err_multi_;      ///< count * operand_count
-  std::vector<std::int64_t> totals_multi_;   ///< live-dense, count * lanes
-  std::vector<std::uint32_t> live_idx_;      ///< ascending live candidates
-  std::vector<std::uint8_t> live_;
-  std::vector<double> acc_multi_;            ///< per-candidate running sums
 
   // --- reference path buffers (the point of keeping this a class) ---
   /// Exact-result table at width >= 6, filled by the first

@@ -171,28 +171,5 @@ TEST(adder_approximator, default_distribution_derives_from_spec) {
   EXPECT_EQ(approx.config().distribution.size(), std::size_t{64});
 }
 
-TEST(adder_approximator, serial_and_parallel_agree) {
-  adder_approximation_config config;
-  config.spec = metrics::adder_spec{6};
-  config.distribution = dist::pmf::half_normal(64, 12.0);
-  config.iterations = 60;
-  config.extra_columns = 12;
-  config.rng_seed = 3;
-
-  const circuit::netlist seed = mult::ripple_adder(6);
-
-  config.threads = 1;
-  const evolved_design serial =
-      adder_wmed_approximator(config).approximate(seed, 0.004);
-  config.threads = 2;
-  const evolved_design parallel =
-      adder_wmed_approximator(config).approximate(seed, 0.004);
-
-  EXPECT_EQ(parallel.netlist, serial.netlist);
-  EXPECT_EQ(parallel.wmed, serial.wmed);
-  EXPECT_EQ(parallel.area_um2, serial.area_um2);
-  EXPECT_EQ(parallel.evaluations, serial.evaluations);
-}
-
 }  // namespace
 }  // namespace axc::core

@@ -180,8 +180,7 @@ cgp::evolver::run_result incremental_search(const circuit::netlist& seed,
                                             const metrics::mult_spec& spec,
                                             const dist::pmf& d, double target,
                                             std::size_t iterations,
-                                            std::uint64_t seed_value,
-                                            std::size_t threads) {
+                                            std::uint64_t seed_value) {
   const auto& lib = tech::cell_library::nangate45_like();
   rng gen(seed_value);
   const cgp::genotype start =
@@ -189,12 +188,9 @@ cgp::evolver::run_result incremental_search(const circuit::netlist& seed,
   cgp::evolver::options opts;
   opts.iterations = iterations;
   opts.error_tiebreak = true;
-  return cgp::evolver::run_incremental(
-      start,
-      [&] {
-        return core::make_incremental_wmed_evaluator(spec, d, lib, target);
-      },
-      opts, threads, gen);
+  const auto evaluator =
+      core::make_incremental_wmed_evaluator(spec, d, lib, target);
+  return cgp::evolver::run_incremental(start, *evaluator, opts, gen);
 }
 
 TEST(incremental_eval, search_reproduces_netlist_search_bit_for_bit) {
@@ -205,17 +201,13 @@ TEST(incremental_eval, search_reproduces_netlist_search_bit_for_bit) {
 
   for (const std::uint64_t s : {1ull, 9ull}) {
     const auto full = netlist_search(seed, spec, d, target, 150, s);
-    for (const std::size_t threads : {1u, 3u}) {
-      const auto fast =
-          incremental_search(seed, spec, d, target, 150, s, threads);
-      EXPECT_EQ(fast.best, full.best) << "seed " << s << " threads "
-                                      << threads;
-      EXPECT_EQ(fast.best_eval.error, full.best_eval.error);
-      EXPECT_EQ(fast.best_eval.area, full.best_eval.area);
-      EXPECT_EQ(fast.evaluations, full.evaluations);
-      EXPECT_EQ(fast.improvements, full.improvements);
-      EXPECT_EQ(fast.neutral_moves, full.neutral_moves);
-    }
+    const auto fast = incremental_search(seed, spec, d, target, 150, s);
+    EXPECT_EQ(fast.best, full.best) << "seed " << s;
+    EXPECT_EQ(fast.best_eval.error, full.best_eval.error);
+    EXPECT_EQ(fast.best_eval.area, full.best_eval.area);
+    EXPECT_EQ(fast.evaluations, full.evaluations);
+    EXPECT_EQ(fast.improvements, full.improvements);
+    EXPECT_EQ(fast.neutral_moves, full.neutral_moves);
   }
 }
 

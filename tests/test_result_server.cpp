@@ -141,7 +141,7 @@ TEST(result_server, rejects_damaged_request_text) {
   EXPECT_FALSE(parse_request("axc-serve v1\nverb steal\nspec\n").has_value());
   EXPECT_FALSE(
       parse_request("axc-serve v1\nvverb get\nspec\n").has_value());
-  // Cutting the spec section anywhere must fail sweep_spec::read.
+  // Cutting the spec section anywhere must fail sweep_spec::parse.
   EXPECT_FALSE(parse_request(good.substr(0, good.size() / 2)).has_value());
   EXPECT_FALSE(parse_request(good.substr(0, good.size() - 4)).has_value());
   EXPECT_FALSE(parse_reply("axc-serve-reply v1\nstatus wat\nend\n")
@@ -193,6 +193,39 @@ TEST(result_server, budget_filters_the_front) {
   ASSERT_EQ(filtered->size(), 2u);  // 0.05 point is over budget
   EXPECT_LT(filtered->size(), full->size());
   for (const pareto_point& p : *filtered) EXPECT_LE(p.x, 0.02);
+
+  std::error_code ec;
+  fs::remove_all(root, ec);
+}
+
+TEST(result_server, out_of_range_spec_gets_error_and_server_keeps_serving) {
+  const std::string root = fresh_dir("hostile-spec");
+  const sweep_spec good = serve_spec(112);
+  const std::string stored = publish_front(root + "/store", good);
+
+  result_server server(local_config(root));
+  ASSERT_TRUE(server.start());
+
+  // Width 40 with an empty distribution once made store_key() allocate a
+  // 2^40-entry pmf; a 3-mass distribution at width 4 hit finalize_config's
+  // abort().  Both are well-formed text, so the reply is `error`.
+  sweep_spec wide = good;
+  wide.options.width = 40;
+  wide.options.distribution = {};
+  sweep_spec short_pmf = good;
+  short_pmf.options.distribution =
+      dist::pmf::from_masses(std::vector<double>{0.5, 0.25, 0.25});
+  for (const sweep_spec& bad : {wide, short_pmf}) {
+    for (const char* verb : {"get", "status", "wait", "table"}) {
+      EXPECT_EQ(ask(server, make_request(verb, bad)).status, "error") << verb;
+    }
+  }
+  EXPECT_EQ(server.stats().malformed, 0u);
+
+  const serve_reply reply = ask(server, make_request("get", good));
+  EXPECT_EQ(reply.status, "hit");
+  ASSERT_TRUE(reply.payload.has_value());
+  EXPECT_EQ(*reply.payload, stored);
 
   std::error_code ec;
   fs::remove_all(root, ec);

@@ -276,6 +276,89 @@ TEST(sweep_spec, read_rejects_damage) {
   EXPECT_FALSE(sweep_spec::read(garbage).has_value());
 }
 
+TEST(sweep_spec, read_rejects_a_v1_spec_with_a_threads_line) {
+  // v1 carried a `threads` line after `lambda`; v2 dropped it and bumped
+  // the magic, so an old spec fails on its first line.
+  std::ostringstream os;
+  mult_spec_small().write(os);
+  std::string text = os.str();
+  text.replace(text.find("v2"), 2, "v1");
+  const std::size_t lambda_end = text.find('\n', text.find("\nlambda ") + 1);
+  text.insert(lambda_end + 1, "threads 1\n");
+  std::istringstream is(text);
+  EXPECT_FALSE(sweep_spec::read(is).has_value());
+}
+
+/// Serializes `spec` and reads it back — the path a worker, the result
+/// server and axc_client take.
+bool reads_back(const sweep_spec& spec) {
+  std::ostringstream os;
+  spec.write(os);
+  std::istringstream is(os.str());
+  return sweep_spec::read(is).has_value();
+}
+
+TEST(sweep_spec, read_rejects_out_of_range_values) {
+  ASSERT_TRUE(reads_back(mult_spec_small()));
+  ASSERT_TRUE(reads_back(adder_spec_small()));
+
+  // Widths the evaluator and compiled tables cannot handle — width 40 with
+  // an empty distribution used to die in std::bad_alloc.
+  for (const unsigned width : {0u, 2u, 13u, 40u}) {
+    sweep_spec spec = mult_spec_small();
+    spec.options.width = width;
+    spec.options.distribution = {};
+    EXPECT_FALSE(reads_back(spec)) << "width " << width;
+    EXPECT_FALSE(spec.validate().empty()) << "width " << width;
+  }
+
+  sweep_spec no_lambda = mult_spec_small();
+  no_lambda.options.lambda = 0;
+  EXPECT_FALSE(reads_back(no_lambda));
+
+  for (const double target : {-0.1, 1.5, std::nan(""), HUGE_VAL}) {
+    sweep_spec spec = mult_spec_small();
+    spec.plan.targets.push_back(target);
+    EXPECT_FALSE(reads_back(spec)) << "target " << target;
+  }
+
+  // Distribution size must be 0 or 2^width: a width-4 spec with 8 masses
+  // used to hit finalize_config's abort().
+  sweep_spec short_pmf = mult_spec_small();
+  short_pmf.options.distribution = dist::pmf::half_normal(8, 2.0);
+  EXPECT_FALSE(reads_back(short_pmf));
+  sweep_spec uniform = mult_spec_small();
+  uniform.options.distribution = {};
+  EXPECT_TRUE(reads_back(uniform));
+
+  // A seed netlist that does not fit the component.
+  sweep_spec wrong_seed = mult_spec_small();
+  wrong_seed.seed = mult::unsigned_multiplier(3);
+  EXPECT_FALSE(reads_back(wrong_seed));
+  sweep_spec adder_seed = mult_spec_small();
+  adder_seed.seed = mult::ripple_adder(4);
+  EXPECT_FALSE(reads_back(adder_seed));
+}
+
+TEST(sweep_spec, read_rejects_unusable_distribution_masses) {
+  std::ostringstream os;
+  mult_spec_small().write(os);
+  const std::string text = os.str();
+  const std::size_t begin = text.find("\ndistribution ") + 1;
+  const std::size_t end = text.find('\n', begin);
+  const auto with_masses = [&](const std::string& masses) {
+    std::string line = "distribution 16";
+    for (int i = 0; i < 16; ++i) line += " " + masses;
+    return text.substr(0, begin) + line + text.substr(end);
+  };
+  for (const char* mass : {"-0.5", "nan", "inf", "0"}) {
+    std::istringstream is(with_masses(mass));
+    EXPECT_FALSE(sweep_spec::read(is).has_value()) << "mass " << mass;
+  }
+  std::istringstream ok(with_masses("0.0625"));
+  EXPECT_TRUE(sweep_spec::read(ok).has_value());
+}
+
 TEST(run_sweep_inprocess, matches_plain_session_at_any_job_threads) {
   const sweep_spec spec = mult_spec_small();
   const sweep_result serial = run_sweep_inprocess(spec);

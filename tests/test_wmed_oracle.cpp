@@ -1,0 +1,272 @@
+// An independent WMED oracle for the fast evaluation path.
+//
+// The oracle is deliberately naive and shares nothing with the engine but
+// the netlist data structure: it interprets the candidate gate by gate for
+// every one of the 2^(2w) operand pairs with its own gate semantics, decodes
+// the result bits and the exact result itself, sums D(a) * |f - f'| in
+// extended precision and normalizes the way
+// metrics::basic_wmed_evaluator::shared_state::weight documents
+// (D(a) / (2^w * output_scale)).  Random mutated genotypes are scored by the
+// engine through the path the search uses — cgp::cone_program bind/apply +
+// evaluate_program at widths >= 6, evaluate() on the decoded cone below —
+// and must agree within 1e-12 relative (the summation order differs) and
+// exactly on feasibility for targets away from the value.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "cgp/cone_program.h"
+#include "cgp/genotype.h"
+#include "circuit/netlist.h"
+#include "dist/pmf.h"
+#include "metrics/adder_metrics.h"
+#include "metrics/mult_spec.h"
+#include "metrics/wmed_evaluator.h"
+#include "mult/adders.h"
+#include "mult/multipliers.h"
+#include "support/rng.h"
+
+namespace axc {
+namespace {
+
+enum class kind { mult_unsigned, mult_signed, adder };
+
+const char* kind_name(kind k) {
+  switch (k) {
+    case kind::mult_unsigned: return "mult-unsigned";
+    case kind::mult_signed: return "mult-signed";
+    case kind::adder: return "adder";
+  }
+  return "?";
+}
+
+unsigned result_bits(kind k, unsigned w) {
+  return k == kind::adder ? w + 1 : 2 * w;
+}
+
+/// The normalization of shared_state::weight: 2^w operand patterns times
+/// the output range (2^2w for multipliers, 2^(w+1) for adders).
+long double denominator(kind k, unsigned w) {
+  const int range_bits = k == kind::adder ? static_cast<int>(w) + 1
+                                          : 2 * static_cast<int>(w);
+  return std::ldexp(1.0L, static_cast<int>(w) + range_bits);
+}
+
+std::int64_t sign_extend(std::uint64_t pattern, unsigned bits) {
+  const std::uint64_t top = std::uint64_t{1} << (bits - 1);
+  return static_cast<std::int64_t>(pattern ^ top) -
+         static_cast<std::int64_t>(top);
+}
+
+std::int64_t exact_value(kind k, unsigned w, std::uint64_t a,
+                         std::uint64_t b) {
+  switch (k) {
+    case kind::mult_unsigned:
+      return static_cast<std::int64_t>(a * b);
+    case kind::mult_signed:
+      return sign_extend(a, w) * sign_extend(b, w);
+    case kind::adder:
+      return static_cast<std::int64_t>(a + b);
+  }
+  return 0;
+}
+
+bool gate(circuit::gate_fn fn, bool a, bool b) {
+  using circuit::gate_fn;
+  switch (fn) {
+    case gate_fn::const0: return false;
+    case gate_fn::const1: return true;
+    case gate_fn::buf_a: return a;
+    case gate_fn::not_a: return !a;
+    case gate_fn::buf_b: return b;
+    case gate_fn::not_b: return !b;
+    case gate_fn::and2: return a && b;
+    case gate_fn::nand2: return !(a && b);
+    case gate_fn::or2: return a || b;
+    case gate_fn::nor2: return !(a || b);
+    case gate_fn::xor2: return a != b;
+    case gate_fn::xnor2: return a == b;
+    case gate_fn::andn_ab: return a && !b;
+    case gate_fn::andn_ba: return !a && b;
+    case gate_fn::orn_ab: return a || !b;
+    case gate_fn::orn_ba: return !a || b;
+  }
+  return false;
+}
+
+/// Per operand A: sum over every operand B of |exact - candidate|, from a
+/// gate-by-gate interpretation of `nl` (inputs 0..w-1 carry A, w..2w-1 B).
+std::vector<std::int64_t> error_rows(kind k, unsigned w,
+                                     const circuit::netlist& nl) {
+  const std::uint64_t n = std::uint64_t{1} << w;
+  const unsigned bits = result_bits(k, w);
+  std::vector<std::uint8_t> signal(nl.num_signals());
+  std::vector<std::int64_t> rows(n, 0);
+  for (std::uint64_t a = 0; a < n; ++a) {
+    for (std::uint64_t b = 0; b < n; ++b) {
+      for (unsigned i = 0; i < w; ++i) {
+        signal[i] = (a >> i) & 1;
+        signal[w + i] = (b >> i) & 1;
+      }
+      for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+        const circuit::gate_node& node = nl.gate(g);
+        signal[2 * w + g] =
+            gate(node.fn, signal[node.in0] != 0, signal[node.in1] != 0);
+      }
+      std::uint64_t pattern = 0;
+      for (unsigned o = 0; o < bits; ++o) {
+        pattern |= std::uint64_t{signal[nl.output(o)]} << o;
+      }
+      const std::int64_t got = k == kind::mult_signed
+                                   ? sign_extend(pattern, bits)
+                                   : static_cast<std::int64_t>(pattern);
+      const std::int64_t diff = exact_value(k, w, a, b) - got;
+      rows[a] += diff < 0 ? -diff : diff;
+    }
+  }
+  return rows;
+}
+
+double oracle_wmed(kind k, unsigned w, const std::vector<std::int64_t>& rows,
+                   const dist::pmf& d) {
+  long double sum = 0.0L;
+  for (std::size_t a = 0; a < rows.size(); ++a) {
+    sum += static_cast<long double>(d[a]) *
+           static_cast<long double>(rows[a]);
+  }
+  return static_cast<double>(sum / denominator(k, w));
+}
+
+/// The adversarial distributions over 2^w operand patterns.
+std::vector<std::pair<std::string, dist::pmf>> adversarial_pmfs(unsigned w) {
+  const std::size_t n = std::size_t{1} << w;
+  std::vector<std::pair<std::string, dist::pmf>> pmfs;
+  pmfs.emplace_back("half-normal",
+                    dist::pmf::half_normal(n, static_cast<double>(n) / 4));
+
+  // Whole quarter-blocks of operand A carry no mass at all.
+  std::vector<double> blocks(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    blocks[a] = (a / (n / 4)) % 2 == 1 ? 0.0 : static_cast<double>(a + 1);
+  }
+  pmfs.emplace_back("zero-mass-blocks", dist::pmf::from_masses(blocks));
+
+  std::vector<double> point(n, 0.0);
+  point[n / 2 + 1] = 1.0;
+  pmfs.emplace_back("single-point", dist::pmf::from_masses(point));
+
+  // Subnormal masses beside normal ones.
+  std::vector<double> subnormal(n);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (std::size_t a = 0; a < n; ++a) {
+    subnormal[a] = a % 3 == 0 ? tiny * static_cast<double>(a + 1)
+                              : 1.0 / static_cast<double>(a + 2);
+  }
+  pmfs.emplace_back("subnormal", dist::pmf::from_masses(subnormal));
+
+  // Masses with no finite decimal form, passed through the %.17g text round
+  // trip sweep specs use.
+  std::vector<double> decimal(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    const double mass = 0.1 * static_cast<double>(a % 7 + 1) /
+                        static_cast<double>(a + 3);
+    char text[64];
+    std::snprintf(text, sizeof text, "%.17g", mass);
+    decimal[a] = std::strtod(text, nullptr);
+    EXPECT_EQ(decimal[a], mass) << text;
+  }
+  pmfs.emplace_back("decimal-round-trip", dist::pmf::from_masses(decimal));
+  return pmfs;
+}
+
+template <typename Spec>
+void check_against_oracle(kind k, unsigned w, const Spec& spec,
+                          const circuit::netlist& seed, std::uint64_t seed_value) {
+  const auto pmfs = adversarial_pmfs(w);
+  std::vector<metrics::basic_wmed_evaluator<Spec>> evaluators;
+  evaluators.reserve(pmfs.size());
+  for (const auto& entry : pmfs) evaluators.emplace_back(spec, entry.second);
+
+  cgp::parameters params;
+  params.num_inputs = seed.num_inputs();
+  params.num_outputs = seed.num_outputs();
+  params.columns = seed.num_gates() + 16;
+  params.rows = 1;
+  params.levels_back = params.columns;
+  params.function_set.assign(circuit::default_function_set().begin(),
+                             circuit::default_function_set().end());
+  rng gen(seed_value);
+  cgp::genotype parent = cgp::genotype::from_netlist(params, seed, gen);
+  for (int m = 0; m < 4; ++m) parent.mutate(gen);
+
+  const bool fast = w >= 6;
+  cgp::cone_program cone;
+  if (fast) cone.bind(parent);
+
+  // Candidate 0 is the parent itself; the rest are its mutants.
+  for (int c = 0; c < 4; ++c) {
+    cgp::genotype child = parent;
+    std::vector<std::uint32_t> dirty;
+    if (c > 0) child.mutate(gen, dirty);
+    const bool applied =
+        fast && c > 0 &&
+        cone.apply(parent, child, dirty) != cgp::cone_program::delta::identical;
+    const circuit::netlist cone_nl = child.decode_cone();
+    const std::vector<std::int64_t> rows = error_rows(k, w, child.decode());
+
+    for (std::size_t p = 0; p < pmfs.size(); ++p) {
+      const std::string where = std::string(kind_name(k)) + " w=" +
+                                std::to_string(w) + " candidate " +
+                                std::to_string(c) + " " + pmfs[p].first;
+      auto& evaluator = evaluators[p];
+      const auto engine = [&](double abort_above) {
+        return fast ? evaluator.evaluate_program(cone.program(), abort_above)
+                    : evaluator.evaluate(cone_nl, abort_above);
+      };
+      const double expected = oracle_wmed(k, w, rows, pmfs[p].second);
+      const double got = engine(std::numeric_limits<double>::infinity());
+      EXPECT_LE(std::abs(got - expected), 1e-12 * expected)
+          << where << ": engine " << got << " oracle " << expected;
+
+      if (expected > 0.0) {
+        const double above = expected * (1.0 + 1e-6);
+        const double below = expected * (1.0 - 1e-6);
+        EXPECT_LE(engine(above), above) << where << " feasible above";
+        EXPECT_GT(engine(below), below) << where << " infeasible below";
+      } else {
+        EXPECT_LE(engine(0.0), 0.0) << where << " exact at target 0";
+      }
+    }
+    if (applied) cone.release_child(parent);
+  }
+}
+
+TEST(wmed_oracle, unsigned_multipliers_match_naive_wmed) {
+  for (unsigned w = 3; w <= 8; ++w) {
+    check_against_oracle(kind::mult_unsigned, w, metrics::mult_spec{w, false},
+                         mult::unsigned_multiplier(w), 100 + w);
+  }
+}
+
+TEST(wmed_oracle, signed_multipliers_match_naive_wmed) {
+  for (unsigned w = 3; w <= 8; ++w) {
+    check_against_oracle(kind::mult_signed, w, metrics::mult_spec{w, true},
+                         mult::signed_multiplier(w), 200 + w);
+  }
+}
+
+TEST(wmed_oracle, adders_match_naive_wmed) {
+  for (unsigned w = 3; w <= 8; ++w) {
+    check_against_oracle(kind::adder, w, metrics::adder_spec{w},
+                         mult::ripple_adder(w), 300 + w);
+  }
+}
+
+}  // namespace
+}  // namespace axc

@@ -11,7 +11,7 @@
 // window instead of hard-failing on ECONNREFUSED.  Only the *connect* is
 // retried; once a connection is up, a failed exchange is a real error.
 //
-// Sends one request (the sweep_spec in FILE, "axc-sweep-spec v1" text)
+// Sends one request (the sweep_spec in FILE, "axc-sweep-spec v2" text)
 // over the Unix-domain socket and reports the reply: the status line goes
 // to stderr, a payload (the front or table bytes, exactly as stored) to
 // stdout or --out.  `key` needs no server — it prints the spec's front
