@@ -175,8 +175,9 @@ BENCHMARK(bm_wmed_evaluate_reference_with_abort);
 
 /// A realistic CGP search candidate: the exact multiplier seeded into a
 /// 460-column genotype (mostly inactive padding) and mutated — what the
-/// evolver actually scores, and where cone restriction pays.
-cgp::genotype search_candidate() {
+/// evolver actually scores, and where cone restriction pays.  With
+/// `mutations` = 0 it is the exact seed a search starts from.
+cgp::genotype search_candidate(int mutations = 10) {
   const circuit::netlist seed = mult::unsigned_multiplier(8);
   cgp::parameters params;
   params.num_inputs = 16;
@@ -188,7 +189,7 @@ cgp::genotype search_candidate() {
                              circuit::default_function_set().end());
   rng gen(17);
   cgp::genotype g = cgp::genotype::from_netlist(params, seed, gen);
-  for (int m = 0; m < 10; ++m) g.mutate(gen);
+  for (int m = 0; m < mutations; ++m) g.mutate(gen);
   return g;
 }
 
@@ -251,14 +252,25 @@ BENCHMARK(bm_cgp_mutate_decode_cone);
 
 /// Shared body of the per-offspring generation benches: one (1+lambda)
 /// generation through evaluate_child() per mutant — the loop
-/// evolver::run_incremental drives — with manual timing divided by lambda,
-/// so the reported number stays *per offspring* and comparable across the
-/// whole trajectory.
+/// evolver::run_incremental drives, with the parent's child_bound under the
+/// search's default error tie-break — with manual timing divided by lambda,
+/// so the reported number stays *per offspring*.  The parent is a real
+/// search parent: `seed_genotype` (the exact circuit) evolved for
+/// kParentGenerations at the evaluator's target, so its mutants meet the
+/// area and error screens they meet mid-search.
 void run_generation_bench(benchmark::State& state,
                           cgp::incremental_evaluator& evaluator,
-                          const cgp::genotype& parent, std::uint64_t seed) {
-  evaluator.evaluate_and_bind(parent);
+                          const cgp::genotype& seed_genotype,
+                          std::uint64_t seed) {
+  constexpr std::size_t kParentGenerations = 400;
+  cgp::evolver::options opts;
+  opts.iterations = kParentGenerations;
+  opts.error_tiebreak = true;
   rng gen(seed);
+  const cgp::genotype parent =
+      cgp::evolver::run_incremental(seed_genotype, evaluator, opts, gen).best;
+  const cgp::child_bound bound =
+      cgp::evolver::bound_for(evaluator.evaluate_and_bind(parent), opts);
   constexpr std::size_t kLambda = 4;
   std::vector<cgp::genotype> children(kLambda, parent);
   std::vector<std::vector<std::uint32_t>> dirty(kLambda);
@@ -271,7 +283,8 @@ void run_generation_bench(benchmark::State& state,
       children[i].copy_genes_from(parent, dirty[i]);
       dirty[i].clear();
       children[i].mutate(gen, dirty[i]);
-      evals[i] = evaluator.evaluate_child(parent, children[i], dirty[i]);
+      evals[i] =
+          evaluator.evaluate_child(parent, children[i], dirty[i], bound);
     }
     benchmark::DoNotOptimize(evals.data());
     const auto t1 = std::chrono::steady_clock::now();
@@ -291,7 +304,7 @@ void bm_evolver_generation(benchmark::State& state) {
   const auto& lib = tech::cell_library::nangate45_like();
   const auto evaluator =
       core::make_incremental_wmed_evaluator(spec, d, lib, 1e-4);
-  run_generation_bench(state, *evaluator, search_candidate(), 3);
+  run_generation_bench(state, *evaluator, search_candidate(0), 3);
 }
 BENCHMARK(bm_evolver_generation)->UseManualTime();
 
@@ -303,7 +316,7 @@ void bm_evolver_generation_scalar(benchmark::State& state) {
   const auto& lib = tech::cell_library::nangate45_like();
   const auto evaluator = core::make_incremental_wmed_evaluator(
       spec, d, lib, 1e-4, simd::level::scalar);
-  run_generation_bench(state, *evaluator, search_candidate(), 3);
+  run_generation_bench(state, *evaluator, search_candidate(0), 3);
 }
 BENCHMARK(bm_evolver_generation_scalar)->UseManualTime();
 
@@ -341,7 +354,7 @@ BENCHMARK(bm_cone_bind);
 /// An adder search candidate: the exact ripple adder seeded into a padded
 /// genotype and drifted, mirroring search_candidate() for the second
 /// component class.
-cgp::genotype adder_search_candidate() {
+cgp::genotype adder_search_candidate(int mutations = 10) {
   const circuit::netlist seed = mult::ripple_adder(8);
   cgp::parameters params;
   params.num_inputs = 16;
@@ -353,7 +366,7 @@ cgp::genotype adder_search_candidate() {
                              circuit::default_function_set().end());
   rng gen(23);
   cgp::genotype g = cgp::genotype::from_netlist(params, seed, gen);
-  for (int m = 0; m < 10; ++m) g.mutate(gen);
+  for (int m = 0; m < mutations; ++m) g.mutate(gen);
   return g;
 }
 
@@ -391,7 +404,7 @@ void bm_evolver_generation_adder(benchmark::State& state) {
   const auto& lib = tech::cell_library::nangate45_like();
   const auto evaluator =
       core::make_incremental_wmed_evaluator(spec, d, lib, 1e-3);
-  run_generation_bench(state, *evaluator, adder_search_candidate(), 7);
+  run_generation_bench(state, *evaluator, adder_search_candidate(0), 7);
 }
 BENCHMARK(bm_evolver_generation_adder)->UseManualTime();
 

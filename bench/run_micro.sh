@@ -3,8 +3,8 @@
 # BENCH_micro.json at the repo root, so the file holds the actual perf
 # trajectory the ROADMAP tracks (one entry per PR / build profile) instead
 # of only the latest numbers.  Each appended run records the git SHA, a
-# UTC timestamp, an optional profile tag, and the google-benchmark context
-# + results.
+# UTC timestamp, an optional profile tag, a box fingerprint (CPU model,
+# logical CPUs, SIMD levels) and the google-benchmark context + results.
 #
 # With --check the script instead *gates*: the fresh run is compared
 # against a previous tagged run in BENCH_micro.json (the most recent tag,
@@ -264,9 +264,31 @@ else:
 if "runs" not in trajectory:
     trajectory = {"runs": [trajectory]}
 
+
+def box_fingerprint():
+    """CPU model, logical CPUs and the SIMD levels the kernels dispatch on."""
+    box = {"nproc": os.cpu_count()}
+    try:
+        with open("/proc/cpuinfo") as f:
+            info = f.read()
+    except OSError:
+        return box
+    for line in info.splitlines():
+        key, _, value = line.partition(":")
+        if key.strip() == "model name":
+            box["cpu"] = value.strip()
+        elif key.strip() == "flags":
+            flags = set(value.split())
+            box["simd"] = [f for f in ("avx2", "avx512f", "avx512_vpopcntdq")
+                           if f in flags]
+            break
+    return box
+
+
 entry = {
     "sha": sha,
     "date": run.get("context", {}).get("date", ""),
+    "box": box_fingerprint(),
     "context": run.get("context", {}),
     "benchmarks": run.get("benchmarks", []),
 }

@@ -58,6 +58,7 @@ void cone_program::bind(const genotype& parent) {
   applied_child_ = nullptr;
   indices_stale_ = false;
   membership_deferred_ = false;
+  gates_ = gate_change::other;
   fns_valid_ = false;
 }
 
@@ -78,6 +79,7 @@ cone_program::delta cone_program::apply(const genotype& parent,
   bool effective = false;
   bool activation = false;    // some node gained its first reference
   bool deactivation = false;  // some node lost its last reference
+  bool fn_changed = false;    // some active node changed its function
   ref_journal_.clear();
   seen_nodes_.clear();
   seen_outputs_.clear();
@@ -119,6 +121,7 @@ cone_program::delta cone_program::apply(const genotype& parent,
     }
     seen_nodes_.push_back(k);
     effective = true;
+    fn_changed |= pn.fn != cn.fn;
     const circuit::gate_fn pf = fs[pn.fn];
     const bool p0_read = circuit::depends_on_a(pf);
     const bool p1_read = circuit::depends_on_b(pf);
@@ -149,6 +152,7 @@ cone_program::delta cone_program::apply(const genotype& parent,
   applied_child_ = &child;
   fns_valid_ = false;
   membership_deferred_ = false;
+  gates_ = gate_change::other;
 
   // Pass 3 — membership.  No count crossed zero: the child's cone equals
   // the parent's (each member keeps an active reader chain, each
@@ -172,8 +176,10 @@ cone_program::delta cone_program::apply(const genotype& parent,
   }
   if (deactivation && !activation) {
     membership_deferred_ = true;
+    if (!fn_changed) gates_ = gate_change::subset;
     return delta::recompiled;
   }
+  if (!fn_changed) gates_ = gate_change::same;
   return delta::patched;
 }
 
@@ -195,6 +201,7 @@ void cone_program::release_child(const genotype& parent) {
   ref_journal_.clear();
   applied_child_ = nullptr;
   membership_deferred_ = false;
+  gates_ = gate_change::other;
   fns_valid_ = false;
   // indices_stale_ stays as-is: the next apply() repacks lazily if needed.
 }

@@ -88,6 +88,15 @@ class cone_program {
   /// the superset-execution path this derives the child's true
   /// membership, which the sweep itself never needs).
   [[nodiscard]] std::span<const circuit::gate_fn> step_fns();
+  /// How step_fns() of the applied child relate to the bound parent's.
+  enum class gate_change {
+    same,    ///< the parent's list: only edges moved
+    subset,  ///< the parent's list with some gates dropped, none changed
+    other,   ///< anything else, or no child applied
+  };
+  /// Known without building step_fns(): area estimation can reuse the
+  /// parent's area for `same`, and `subset` cannot have a larger area.
+  [[nodiscard]] gate_change gates() const { return gates_; }
   /// Steps the next run() executes.  This is the *schedule* length, not
   /// always the true cone size: it is the parent's count while a
   /// deactivation-only child is applied (see idea 4 above), and a
@@ -127,6 +136,8 @@ class cone_program {
   /// Superset execution: the child's cone shrank but the parent's index
   /// list is still being executed; step_fns() derives the true membership.
   bool membership_deferred_{false};
+  /// See gates().
+  gate_change gates_{gate_change::other};
 };
 
 }  // namespace axc::cgp

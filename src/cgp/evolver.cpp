@@ -139,7 +139,7 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
                                              const options& opts, rng& gen) {
   // The evaluator is bound to one parent at a time; it rebinds lazily on
   // the first evaluation after an acceptance changed the parent.
-  bool bound = true;
+  bool is_bound = true;
   const auto initial = [&evaluator](const genotype& g) {
     return evaluator.evaluate_and_bind(g);
   };
@@ -171,16 +171,17 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
                                       const evaluation& parent_eval,
                                       std::vector<genotype>& children,
                                       std::vector<evaluation>& evals) {
-    if (!bound) {
+    if (!is_bound) {
       evaluator.rebind(parent, parent_eval);
-      bound = true;
+      is_bound = true;
     }
+    const child_bound bound = bound_for(parent_eval, opts);
     for (std::size_t k = 0; k < children.size(); ++k) {
-      evals[k] = evaluator.evaluate_child(parent, children[k], dirty[k]);
+      evals[k] = evaluator.evaluate_child(parent, children[k], dirty[k], bound);
     }
   };
-  const auto on_accept = [&bound, &dirty, &resync](std::size_t best_k) {
-    bound = false;
+  const auto on_accept = [&is_bound, &dirty, &resync](std::size_t best_k) {
+    is_bound = false;
     // The swapped-out child (slot best_k) is the old parent: it differs
     // from the new parent by exactly the accepted dirty genes, which is
     // already what resync[best_k] holds.  Every other child now also
@@ -193,6 +194,16 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
   };
   return run_core(seed, initial, mutate_children, evaluate_offspring,
                   on_accept, opts, gen);
+}
+
+child_bound evolver::bound_for(const evaluation& parent, const options& opts) {
+  // Mirrors run_core's order: below a feasible parent ranks every
+  // infeasible child and every feasible one of larger area; at equal area
+  // only error_tiebreak ranks a larger error below.
+  child_bound bound;
+  if (parent.feasible) bound.max_area = parent.area;
+  if (opts.error_tiebreak) bound.equal_area_max_error = parent.error;
+  return bound;
 }
 
 }  // namespace axc::cgp

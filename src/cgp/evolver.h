@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 
 #include "cgp/genotype.h"
@@ -25,6 +26,13 @@ struct evaluation {
   double error{0.0};  ///< e.g. WMED; only ordering matters when infeasible
   double area{0.0};   ///< minimization objective when feasible
   bool feasible{false};
+
+  /// The stand-in an incremental evaluator may return for a mutant it has
+  /// proven cannot replace its parent: infeasible with +inf error, which
+  /// ranks strictly below every feasible parent.
+  [[nodiscard]] static evaluation dominated() {
+    return {std::numeric_limits<double>::infinity(), 0.0, false};
+  }
 };
 
 /// Strict-weak "a is strictly better than b" per Eq. 1 (+ error tie-break).
@@ -33,15 +41,41 @@ struct evaluation {
 /// "a can replace b" — better or equal (neutral drift acceptance).
 [[nodiscard]] bool not_worse(const evaluation& a, const evaluation& b);
 
+/// The tightest bound under which a mutant could still replace its parent,
+/// derived by the evolver from the parent's evaluation and its own
+/// acceptance rule (evolver::bound_for).  Default-constructed it bounds
+/// nothing.
+struct child_bound {
+  /// A mutant with larger area cannot be accepted: the parent's area when
+  /// the parent is feasible, +inf otherwise.
+  double max_area{std::numeric_limits<double>::infinity()};
+  /// A mutant of exactly max_area cannot be accepted with a larger error:
+  /// the parent's error under error_tiebreak, +inf without it.
+  double equal_area_max_error{std::numeric_limits<double>::infinity()};
+};
+
 /// Genotype-native incremental evaluation contract (see cone_program): the
 /// evolver hands the evaluator the parent genotype and each mutant's dirty
 /// gene list instead of a materialized netlist, so the evaluator can keep
 /// the parent's compiled sim_program/cone schedule across the lambda
 /// mutants of a generation and patch rather than recompile.
 ///
-/// Contract: evaluate_child(parent, child, dirty) must return exactly what
-/// evaluate_and_bind(child) would — the incremental path is a pure
-/// throughput optimization, bit-identical to full recompilation.
+/// Contract: evaluate_child(parent, child, dirty, bound) returns either
+/// exactly what evaluate_and_bind(child) would, or evaluation::dominated()
+/// — and the latter only when that exact evaluation ranks strictly below
+/// the parent under the run's order.  This lets the evaluator skip or cut
+/// short the work on mutants that cannot be accepted, and the search stays
+/// bit-identical to full recompilation.  Why: with neutral drift
+/// acceptable(c, p) is !strictly_better(p, c), and without it
+/// strictly_better(c, p); the order is lexicographic in (feasible, area,
+/// error under error_tiebreak), a strict weak order.  Replacing a child that
+/// ranks strictly below the parent by another value that also does (a)
+/// cannot make it acceptable; (b) cannot make it the generation's best over
+/// an acceptable sibling, by transitivity — the best is the earliest member
+/// of the top equivalence class, which then ranks at or above the parent;
+/// (c) changes nothing when no sibling is acceptable, since nothing is
+/// accepted either way.  Selection, acceptance, RNG draws and every run
+/// counter are therefore unchanged.
 class incremental_evaluator {
  public:
   virtual ~incremental_evaluator() = default;
@@ -56,10 +90,12 @@ class incremental_evaluator {
 
   /// Evaluates a mutant of the bound parent.  `dirty` lists the flat gene
   /// indices touched by mutation (genotype::mutate(rng&, dirty)); the
-  /// binding is left undisturbed.
+  /// binding is left undisturbed.  `bound` is the parent's child_bound (a
+  /// default one asks for the exact evaluation).
   virtual evaluation evaluate_child(const genotype& parent,
                                     const genotype& child,
-                                    std::span<const std::uint32_t> dirty) = 0;
+                                    std::span<const std::uint32_t> dirty,
+                                    const child_bound& bound) = 0;
 };
 
 class evolver {
@@ -113,12 +149,17 @@ class evolver {
 
   /// (1 + lambda) over the genotype-native incremental pipeline: mutants
   /// are never decoded to netlists; `evaluator` keeps the parent's compiled
-  /// schedule and receives (parent, child, dirty genes) for each mutant in
-  /// turn.  Given a conforming evaluator the result is bit-identical to
-  /// run() over full per-mutant recompilation.
+  /// schedule and receives (parent, child, dirty genes, the parent's
+  /// bound_for()) for each mutant in turn.  Given a conforming evaluator the
+  /// result is bit-identical to run() over full per-mutant recompilation.
   static run_result run_incremental(const genotype& seed,
                                     incremental_evaluator& evaluator,
                                     const options& opts, rng& gen);
+
+  /// The child_bound run_incremental hands the evaluator for the mutants
+  /// of a parent scored `parent` under `opts`' acceptance rule.
+  [[nodiscard]] static child_bound bound_for(const evaluation& parent,
+                                             const options& opts);
 };
 
 }  // namespace axc::cgp

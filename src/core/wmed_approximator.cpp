@@ -1,8 +1,10 @@
 #include "core/wmed_approximator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -17,11 +19,15 @@ namespace axc::core {
 
 namespace {
 
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
 /// cgp::incremental_evaluator over the genotype-native pipeline: compile or
-/// patch the parent's cone schedule, run the bit-plane sweep with early
-/// abort at the target, estimate area straight from the active gate
-/// functions.  Every path is bit-identical to scoring decode_cone() through
-/// the netlist-based evaluator (parity-tested in
+/// patch the parent's cone schedule, estimate area straight from the active
+/// gate functions, run the bit-plane sweep with early abort at the tightest
+/// bound under which the mutant could still replace its parent.  Every
+/// result is bit-identical to scoring decode_cone() through the
+/// netlist-based evaluator, or evaluation::dominated() for a mutant whose
+/// exact score ranks strictly below the parent (tested in
 /// tests/test_incremental_eval.cpp).
 template <metrics::component_spec Spec>
 class incremental_wmed final : public cgp::incremental_evaluator {
@@ -29,11 +35,17 @@ class incremental_wmed final : public cgp::incremental_evaluator {
   incremental_wmed(wmed_shared_cache<Spec> cache,
                    const tech::cell_library& lib, double target,
                    simd::level simd)
-      : evaluator_(std::move(cache), simd), lib_(&lib), target_(target) {}
+      : evaluator_(std::move(cache), simd), lib_(&lib), target_(target) {
+    // Terms of the sweep's running sum: one per 64-assignment block.
+    const double terms =
+        static_cast<double>(evaluator_.shared()->block_count) + 1.0;
+    margin_rel_ = std::ldexp(terms, -49);
+    margin_abs_ = std::ldexp(terms, -1069);
+  }
 
   cgp::evaluation evaluate_and_bind(const cgp::genotype& parent) override {
     cone_.bind(parent);
-    parent_eval_ = score();
+    parent_eval_ = score({});
     return parent_eval_;
   }
 
@@ -43,34 +55,96 @@ class incremental_wmed final : public cgp::incremental_evaluator {
     parent_eval_ = eval;  // the known evaluation spares the parent sweep
   }
 
-  cgp::evaluation evaluate_child(
-      const cgp::genotype& parent, const cgp::genotype& child,
-      std::span<const std::uint32_t> dirty) override {
+  cgp::evaluation evaluate_child(const cgp::genotype& parent,
+                                 const cgp::genotype& child,
+                                 std::span<const std::uint32_t> dirty,
+                                 const cgp::child_bound& bound) override {
     const cgp::cone_program::delta d = cone_.apply(parent, child, dirty);
     // Phenotype-identical mutants (every mutated gene landed on its old
     // value or in the inactive padding) score exactly like the parent.
     if (d == cgp::cone_program::delta::identical) return parent_eval_;
-    const cgp::evaluation eval = score();
+    const cgp::evaluation eval = score(bound);
     cone_.release_child(parent);
     return eval;
   }
 
  private:
-  cgp::evaluation score() {
+  using gate_change = cgp::cone_program::gate_change;
+
+  cgp::evaluation score(const cgp::child_bound& bound) {
+    // Area first when it can screen: a mutant larger than a feasible parent
+    // cannot replace it whatever its error, so it skips the sweep.  Below
+    // an infeasible parent only feasible mutants need their area, and a
+    // mutant that only dropped gates cannot be larger than its parent (a
+    // float sum of positive terms never grows when terms are left out), so
+    // both keep the cheaper order.
+    const bool area_first = bound.max_area != kUnbounded &&
+                            cone_.gates() != gate_change::subset;
+    double area = 0.0;
+    if (area_first) {
+      area = estimate_area();
+      if (area > bound.max_area) return cgp::evaluation::dominated();
+      if (area == bound.max_area) {
+        // Equal area to a feasible parent: the mutant must also stay within
+        // the parent's error (when the run breaks ties on error) and the
+        // target.  A sweep that exceeds that limit proves the exact score
+        // ranks below the parent; one that completes within it is exact.
+        const double limit =
+            std::min(target_, error_limit(bound.equal_area_max_error));
+        const double error =
+            evaluator_.evaluate_program(cone_.program(), limit);
+        if (error > limit) return cgp::evaluation::dominated();
+        return {error, area, true};
+      }
+    }
+
     cgp::evaluation eval;
     // Eq. 1: abort the error sweep once the candidate is proven infeasible;
     // area is only ranked among feasible candidates.
     eval.error = evaluator_.evaluate_program(cone_.program(), target_);
     eval.feasible = eval.error <= target_;
-    eval.area =
-        eval.feasible ? tech::estimate_area(cone_.step_fns(), *lib_) : 0.0;
+    if (eval.feasible && !area_first) area = estimate_area();
+    eval.area = eval.feasible ? area : 0.0;
     return eval;
+  }
+
+  [[nodiscard]] double estimate_area() {
+    // A mutant that only moved edges has the parent's gate list, so a
+    // feasible parent's recorded area is its area bit for bit.
+    if (cone_.gates() == gate_change::same &&
+        parent_eval_.feasible) {
+      return parent_eval_.area;
+    }
+    return tech::estimate_area(cone_.step_fns(), *lib_);
+  }
+
+  /// The abort bound that screens out mutants of error strictly above
+  /// `error`.  The sweep aborts on its running sum `acc`, accumulated per
+  /// block in visit order, while a completed sweep returns the fixed-order
+  /// per-operand reduction W; the two round differently, so aborting at
+  /// `error` itself could screen out a mutant whose W equals it.  Let S be
+  /// the exact real sum of the weighted errors, N = block_count (the terms
+  /// of acc; W has 2^w <= N terms on the fast path), u = 2^-53,
+  /// gamma = N u / (1 - N u) and d = denorm_min (a product may underflow by
+  /// up to d / 2).  Both sums of non-negative terms lie within
+  /// gamma * S + N * d of S, and acc only grows, so an abort at a partial
+  /// sum above L gives W > (1 - 2 gamma) L - 2 N d, which exceeds `error`
+  /// whenever L >= (error + 2 N d) / (1 - 2 gamma).  The limit below adds
+  /// error * (N + 1) * 2^-49 (16 (N + 1) u, about eight times 2 gamma) and
+  /// 32 (N + 1) d (sixteen times 2 N d); the headroom also absorbs the
+  /// rounding of the limit's own arithmetic.  For w = 8 the relative slack
+  /// is 1.8e-12.  tests/test_wmed_oracle.cpp checks that equal-error mutants
+  /// survive it under subnormal and %.17g-round-tripped distributions.
+  [[nodiscard]] double error_limit(double error) const {
+    return error + (error * margin_rel_ + margin_abs_);
   }
 
   metrics::basic_wmed_evaluator<Spec> evaluator_;
   cgp::cone_program cone_;
   const tech::cell_library* lib_;
   double target_;
+  double margin_rel_{0.0};
+  double margin_abs_{0.0};
   cgp::evaluation parent_eval_{};
 };
 

@@ -21,10 +21,11 @@
 // inner loop.  For fast-path widths (>= 6) candidates are evaluated through
 // the genotype-native incremental pipeline (cgp::cone_program +
 // evolver::run_incremental): mutants never materialize netlists, the
-// parent's compiled schedule is patched per mutant, and phenotype-identical
-// mutants reuse the parent's score.  The incremental path is bit-identical
-// to full per-mutant recompilation (`incremental` toggles it for parity
-// testing).
+// parent's compiled schedule is patched per mutant, phenotype-identical
+// mutants reuse the parent's score, and mutants that provably cannot
+// replace their parent skip or cut short the sweep (cgp::child_bound).  The
+// search is bit-identical to full per-mutant recompilation (`incremental`
+// toggles it for parity testing).
 #pragma once
 
 #include <cstdint>
@@ -195,9 +196,10 @@ using wmed_approximator = basic_wmed_approximator<metrics::mult_spec>;
 using adder_wmed_approximator = basic_wmed_approximator<metrics::adder_spec>;
 
 /// The incremental (genotype-native) evaluator the search uses when
-/// `incremental` is on: cone_program compile/patch + bit-plane sweep with
-/// early abort at `target` + netlist-free area estimation.  Exposed for
-/// benches and parity tests.  `simd` picks the scan kernel backend
+/// `incremental` is on: cone_program compile/patch + netlist-free area
+/// estimation + bit-plane sweep with early abort at `target`, or earlier
+/// where the child_bound proves the mutant cannot replace its parent.
+/// Exposed for benches and parity tests.  `simd` picks the scan kernel backend
 /// (bit-identical at every level; see approximation_config::simd).
 template <metrics::component_spec Spec>
 std::unique_ptr<cgp::incremental_evaluator> make_incremental_wmed_evaluator(

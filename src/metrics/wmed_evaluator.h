@@ -5,8 +5,15 @@
 // accumulation into an exhaustive bit-parallel sweep and supports early
 // abort: once the partial sum exceeds the caller's bound the candidate is
 // already infeasible (the accumulated error only grows), so the remaining
-// blocks are skipped.  In an area-minimizing search most mutants are
-// infeasible, making the abort path the common case.
+// blocks are skipped.  The search passes the tightest bound under which a
+// mutant could still replace its parent (core/wmed_approximator.cpp).  On
+// the 8-bit multiplier sweep of perfbench (sweep_mult8 variant 0: 28 jobs,
+// 224k mutants) 27% of mutants are phenotype-identical and never swept,
+// 15% have a larger area than their feasible parent and skip the sweep
+// (before that screen they carried 35% of all passes, 5.4k of them full
+// feasible sweeps), and 21% match the parent's area and are swept only up
+// to its error (933k passes before, 687k after).  Passes fell from 2.55 M
+// to 1.45 M.
 //
 // The evaluator is generic over the component class: any spec satisfying
 // metrics::component_spec (multipliers, adders, ...) runs the same

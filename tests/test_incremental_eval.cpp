@@ -1,11 +1,14 @@
 // The genotype-native incremental evaluation pipeline (cone_program +
 // evolver::run_incremental) must be a pure throughput optimization:
 // bit-identical to decoding every mutant to a netlist and recompiling from
-// scratch — per-candidate WMED/area, whole searches, and the approximator's
-// incremental toggle.
+// scratch — per-candidate WMED/area (or evaluation::dominated() for a
+// mutant whose exact score ranks below its parent), whole searches under
+// every acceptance rule, and the approximator's incremental toggle.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "cgp/cone_program.h"
@@ -55,15 +58,33 @@ TEST(incremental_eval, mutate_overloads_share_the_rng_stream) {
   }
 }
 
+/// The run order of cgp::evolver under error_tiebreak, written out from
+/// Eq. 1: does `c` rank strictly below `p`?
+bool ranks_below(const cgp::evaluation& c, const cgp::evaluation& p) {
+  if (c.feasible != p.feasible) return p.feasible;
+  if (!p.feasible) return c.error > p.error;
+  return c.area > p.area || (c.area == p.area && c.error > p.error);
+}
+
+bool is_dominated(const cgp::evaluation& e) {
+  const cgp::evaluation d = cgp::evaluation::dominated();
+  return e.error == d.error && e.area == d.area && e.feasible == d.feasible;
+}
+
 TEST(incremental_eval, randomized_mutation_sequences_match_full_recompile) {
   // Drive one incremental evaluator through a long randomized mutation
-  // sequence — identical/patched/recompiled paths all get exercised — and
-  // check every child against a from-scratch netlist evaluation,
-  // bit-identically (EXPECT_EQ on doubles, not NEAR).
+  // sequence — identical/patched/recompiled paths all get exercised — with
+  // the parent's child_bound, and check every child against a from-scratch
+  // netlist evaluation: either bit-identical (EXPECT_EQ on doubles, not
+  // NEAR), or evaluation::dominated() while the reference ranks strictly
+  // below the parent.  The reference area comes from decode_cone() for
+  // every child, so a screened child's area claim is checked too.
   const metrics::mult_spec spec{8, false};
   const dist::pmf d = dist::pmf::half_normal(256, 40.0);
   const auto& lib = tech::cell_library::nangate45_like();
   const double target = 1e-3;
+  cgp::evolver::options opts;
+  opts.error_tiebreak = true;
 
   metrics::wmed_evaluator reference(spec, d);
   const auto reference_score = [&](const circuit::netlist& nl) {
@@ -74,6 +95,7 @@ TEST(incremental_eval, randomized_mutation_sequences_match_full_recompile) {
     return e;
   };
 
+  std::size_t exact = 0, area_screened = 0, error_screened = 0;
   for (const std::uint64_t seed_value : {3ull, 77ull}) {
     rng gen(seed_value);
     const circuit::netlist seed = mult::unsigned_multiplier(8);
@@ -82,7 +104,7 @@ TEST(incremental_eval, randomized_mutation_sequences_match_full_recompile) {
 
     auto incremental =
         core::make_incremental_wmed_evaluator(spec, d, lib, target);
-    const cgp::evaluation parent_eval = incremental->evaluate_and_bind(parent);
+    cgp::evaluation parent_eval = incremental->evaluate_and_bind(parent);
     {
       const cgp::evaluation ref = reference_score(parent.decode_cone());
       EXPECT_EQ(parent_eval.error, ref.error);
@@ -91,40 +113,57 @@ TEST(incremental_eval, randomized_mutation_sequences_match_full_recompile) {
     }
 
     std::vector<std::uint32_t> dirty;
-    cgp::evaluation bound_eval = parent_eval;
-    for (int step = 0; step < 120; ++step) {
+    for (int step = 0; step < 400; ++step) {
       cgp::genotype child = parent;
       dirty.clear();
       child.mutate(gen, dirty);
 
-      const cgp::evaluation fast =
-          incremental->evaluate_child(parent, child, dirty);
-      const cgp::evaluation ref = reference_score(child.decode_cone());
-      ASSERT_EQ(fast.error, ref.error) << "seed " << seed_value << " step "
-                                       << step;
-      ASSERT_EQ(fast.area, ref.area) << "step " << step;
-      ASSERT_EQ(fast.feasible, ref.feasible) << "step " << step;
+      const cgp::evaluation fast = incremental->evaluate_child(
+          parent, child, dirty, cgp::evolver::bound_for(parent_eval, opts));
+      const circuit::netlist cone = child.decode_cone();
+      const cgp::evaluation ref = reference_score(cone);
+      if (is_dominated(fast)) {
+        ASSERT_TRUE(ranks_below(ref, parent_eval))
+            << "seed " << seed_value << " step " << step;
+        const double area = tech::estimate_area(cone, lib);
+        ASSERT_GE(area, parent_eval.area) << "step " << step;
+        ++(area > parent_eval.area ? area_screened : error_screened);
+      } else {
+        ASSERT_EQ(fast.error, ref.error) << "seed " << seed_value << " step "
+                                         << step;
+        ASSERT_EQ(fast.area, ref.area) << "step " << step;
+        ASSERT_EQ(fast.feasible, ref.feasible) << "step " << step;
+        ++exact;
+      }
 
-      // Occasionally accept the child to exercise rebinding, including
-      // after patched and recompiled applies.
-      if (step % 7 == 3) {
+      // Every few steps accept the child when the search could, with its
+      // exact evaluation, to exercise rebinding after patched and
+      // recompiled applies and to move the bound.
+      if (step % 7 == 3 && !ranks_below(ref, parent_eval)) {
         parent = child;
-        bound_eval = fast;
-        incremental->rebind(parent, bound_eval);
+        parent_eval = ref;
+        incremental->rebind(parent, parent_eval);
       } else {
         // The binding must be undisturbed: the parent still scores the
         // same through the bound schedule.
         const cgp::evaluation again =
-            incremental->evaluate_child(parent, parent, {});
-        ASSERT_EQ(again.error, bound_eval.error) << "step " << step;
+            incremental->evaluate_child(parent, parent, {}, {});
+        ASSERT_EQ(again.error, parent_eval.error) << "step " << step;
       }
     }
   }
+  // Every path must be hit often, or the checks above pass vacuously.
+  EXPECT_GE(exact, 100u);
+  EXPECT_GE(area_screened, 20u);
+  EXPECT_GE(error_screened, 20u);
 }
 
 TEST(incremental_eval, cone_program_delta_classification_is_exercised) {
   // Sanity-check that a realistic mutation stream hits all three delta
-  // classes — otherwise the parity test above would vacuously pass.
+  // classes and all three gate-list classes — otherwise the parity test
+  // above would vacuously pass — and that each gate-list class describes
+  // step_fns() truthfully: `same` is the parent's list, `subset` the
+  // parent's list with gates left out.
   const circuit::netlist seed = mult::unsigned_multiplier(8);
   rng gen(5);
   cgp::genotype parent =
@@ -132,38 +171,65 @@ TEST(incremental_eval, cone_program_delta_classification_is_exercised) {
 
   cgp::cone_program cone;
   cone.bind(parent);
+  const std::span<const circuit::gate_fn> bound_fns = cone.step_fns();
+  const std::vector<circuit::gate_fn> parent_fns(bound_fns.begin(),
+                                                 bound_fns.end());
 
+  using gate_change = cgp::cone_program::gate_change;
   std::size_t identical = 0, patched = 0, recompiled = 0;
+  std::size_t same = 0, subset = 0, other = 0;
   std::vector<std::uint32_t> dirty;
   for (int step = 0; step < 300; ++step) {
     cgp::genotype child = parent;
     dirty.clear();
     child.mutate(gen, dirty);
-    switch (cone.apply(parent, child, dirty)) {
-      case cgp::cone_program::delta::identical: ++identical; break;
+    const cgp::cone_program::delta d = cone.apply(parent, child, dirty);
+    switch (d) {
+      case cgp::cone_program::delta::identical: ++identical; continue;
       case cgp::cone_program::delta::patched: ++patched; break;
       case cgp::cone_program::delta::recompiled: ++recompiled; break;
+    }
+    const std::span<const circuit::gate_fn> fns = cone.step_fns();
+    const std::vector<circuit::gate_fn> child_fns(fns.begin(), fns.end());
+    switch (cone.gates()) {
+      case gate_change::same:
+        ++same;
+        EXPECT_EQ(child_fns, parent_fns) << "step " << step;
+        break;
+      case gate_change::subset: {
+        ++subset;
+        // Greedy subsequence match against the parent's list.
+        std::size_t i = 0;
+        for (const circuit::gate_fn fn : parent_fns) {
+          if (i < child_fns.size() && child_fns[i] == fn) ++i;
+        }
+        EXPECT_EQ(i, child_fns.size()) << "step " << step;
+        EXPECT_LT(child_fns.size(), parent_fns.size()) << "step " << step;
+        break;
+      }
+      case gate_change::other: ++other; break;
     }
     cone.release_child(parent);
   }
   EXPECT_GT(identical, 0u);
   EXPECT_GT(patched, 0u);
   EXPECT_GT(recompiled, 0u);
+  EXPECT_GT(same, 0u);
+  EXPECT_GT(subset, 0u);
+  EXPECT_GT(other, 0u);
 }
 
+template <typename Spec>
 cgp::evolver::run_result netlist_search(const circuit::netlist& seed,
-                                        const metrics::mult_spec& spec,
-                                        const dist::pmf& d, double target,
-                                        std::size_t iterations,
+                                        const Spec& spec, const dist::pmf& d,
+                                        double target,
+                                        const cgp::evolver::options& opts,
                                         std::uint64_t seed_value) {
   const auto& lib = tech::cell_library::nangate45_like();
-  metrics::wmed_evaluator evaluator(spec, d);
+  metrics::basic_wmed_evaluator<Spec> evaluator(spec, d);
   rng gen(seed_value);
   const cgp::genotype start =
       cgp::genotype::from_netlist(mult_params(seed, 32), seed, gen);
-  cgp::evolver::options opts;
-  opts.iterations = iterations;
-  opts.error_tiebreak = true;
   return cgp::evolver::run(
       start,
       [&](const circuit::netlist& nl) {
@@ -176,38 +242,64 @@ cgp::evolver::run_result netlist_search(const circuit::netlist& seed,
       opts, gen);
 }
 
+template <typename Spec>
 cgp::evolver::run_result incremental_search(const circuit::netlist& seed,
-                                            const metrics::mult_spec& spec,
+                                            const Spec& spec,
                                             const dist::pmf& d, double target,
-                                            std::size_t iterations,
+                                            const cgp::evolver::options& opts,
                                             std::uint64_t seed_value) {
   const auto& lib = tech::cell_library::nangate45_like();
   rng gen(seed_value);
   const cgp::genotype start =
       cgp::genotype::from_netlist(mult_params(seed, 32), seed, gen);
-  cgp::evolver::options opts;
-  opts.iterations = iterations;
-  opts.error_tiebreak = true;
   const auto evaluator =
       core::make_incremental_wmed_evaluator(spec, d, lib, target);
   return cgp::evolver::run_incremental(start, *evaluator, opts, gen);
 }
 
-TEST(incremental_eval, search_reproduces_netlist_search_bit_for_bit) {
-  const metrics::mult_spec spec{6, false};
-  const dist::pmf d = dist::pmf::half_normal(64, 16.0);
-  const circuit::netlist seed = mult::unsigned_multiplier(6);
-  const double target = 0.003;
+/// Whole searches under every acceptance rule (error_tiebreak x
+/// neutral_drift): the bounded incremental pipeline must reproduce the
+/// netlist pipeline's trajectory exactly — best genotype, its score and
+/// every run counter.
+template <typename Spec>
+void expect_same_search_under_every_rule(const Spec& spec,
+                                         const circuit::netlist& seed,
+                                         double target) {
+  const std::size_t n = spec.operand_count();
+  const dist::pmf d =
+      dist::pmf::half_normal(n, static_cast<double>(n) / 4.0);
+  for (const bool tiebreak : {false, true}) {
+    for (const bool drift : {false, true}) {
+      cgp::evolver::options opts;
+      opts.iterations = 500;
+      opts.error_tiebreak = tiebreak;
+      opts.neutral_drift = drift;
+      for (const std::uint64_t s : {1ull, 9ull}) {
+        const auto full = netlist_search(seed, spec, d, target, opts, s);
+        const auto fast = incremental_search(seed, spec, d, target, opts, s);
+        const std::string where =
+            "w=" + std::to_string(spec.width) + " tiebreak " +
+            std::to_string(tiebreak) + " drift " + std::to_string(drift) +
+            " seed " + std::to_string(s);
+        EXPECT_EQ(fast.best, full.best) << where;
+        EXPECT_EQ(fast.best_eval.error, full.best_eval.error) << where;
+        EXPECT_EQ(fast.best_eval.area, full.best_eval.area) << where;
+        EXPECT_EQ(fast.best_eval.feasible, full.best_eval.feasible) << where;
+        EXPECT_EQ(fast.evaluations, full.evaluations) << where;
+        EXPECT_EQ(fast.improvements, full.improvements) << where;
+        EXPECT_EQ(fast.neutral_moves, full.neutral_moves) << where;
+        EXPECT_GT(full.improvements, 0u) << where;
+      }
+    }
+  }
+}
 
-  for (const std::uint64_t s : {1ull, 9ull}) {
-    const auto full = netlist_search(seed, spec, d, target, 150, s);
-    const auto fast = incremental_search(seed, spec, d, target, 150, s);
-    EXPECT_EQ(fast.best, full.best) << "seed " << s;
-    EXPECT_EQ(fast.best_eval.error, full.best_eval.error);
-    EXPECT_EQ(fast.best_eval.area, full.best_eval.area);
-    EXPECT_EQ(fast.evaluations, full.evaluations);
-    EXPECT_EQ(fast.improvements, full.improvements);
-    EXPECT_EQ(fast.neutral_moves, full.neutral_moves);
+TEST(incremental_eval, search_reproduces_netlist_search_bit_for_bit) {
+  for (const unsigned w : {6u, 8u}) {
+    expect_same_search_under_every_rule(metrics::mult_spec{w, false},
+                                        mult::unsigned_multiplier(w), 0.003);
+    expect_same_search_under_every_rule(metrics::adder_spec{w},
+                                        mult::ripple_adder(w), 0.003);
   }
 }
 

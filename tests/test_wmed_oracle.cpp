@@ -10,7 +10,9 @@
 // engine through the path the search uses — cgp::cone_program bind/apply +
 // evaluate_program at widths >= 6, evaluate() on the decoded cone below —
 // and must agree within 1e-12 relative (the summation order differs) and
-// exactly on feasibility for targets away from the value.
+// exactly on feasibility for targets away from the value.  A mutant whose
+// WMED equals its parent's must also survive the search's error screen,
+// whose rounding margin these distributions stress.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,8 +24,10 @@
 #include <vector>
 
 #include "cgp/cone_program.h"
+#include "cgp/evolver.h"
 #include "cgp/genotype.h"
 #include "circuit/netlist.h"
+#include "core/wmed_approximator.h"
 #include "dist/pmf.h"
 #include "metrics/adder_metrics.h"
 #include "metrics/mult_spec.h"
@@ -31,6 +35,7 @@
 #include "mult/adders.h"
 #include "mult/multipliers.h"
 #include "support/rng.h"
+#include "tech/cell_library.h"
 
 namespace axc {
 namespace {
@@ -185,14 +190,8 @@ std::vector<std::pair<std::string, dist::pmf>> adversarial_pmfs(unsigned w) {
   return pmfs;
 }
 
-template <typename Spec>
-void check_against_oracle(kind k, unsigned w, const Spec& spec,
-                          const circuit::netlist& seed, std::uint64_t seed_value) {
-  const auto pmfs = adversarial_pmfs(w);
-  std::vector<metrics::basic_wmed_evaluator<Spec>> evaluators;
-  evaluators.reserve(pmfs.size());
-  for (const auto& entry : pmfs) evaluators.emplace_back(spec, entry.second);
-
+/// `seed` in a 1-row grid with 16 spare columns and the default functions.
+cgp::parameters padded_params(const circuit::netlist& seed) {
   cgp::parameters params;
   params.num_inputs = seed.num_inputs();
   params.num_outputs = seed.num_outputs();
@@ -201,8 +200,20 @@ void check_against_oracle(kind k, unsigned w, const Spec& spec,
   params.levels_back = params.columns;
   params.function_set.assign(circuit::default_function_set().begin(),
                              circuit::default_function_set().end());
+  return params;
+}
+
+template <typename Spec>
+void check_against_oracle(kind k, unsigned w, const Spec& spec,
+                          const circuit::netlist& seed, std::uint64_t seed_value) {
+  const auto pmfs = adversarial_pmfs(w);
+  std::vector<metrics::basic_wmed_evaluator<Spec>> evaluators;
+  evaluators.reserve(pmfs.size());
+  for (const auto& entry : pmfs) evaluators.emplace_back(spec, entry.second);
+
   rng gen(seed_value);
-  cgp::genotype parent = cgp::genotype::from_netlist(params, seed, gen);
+  cgp::genotype parent =
+      cgp::genotype::from_netlist(padded_params(seed), seed, gen);
   for (int m = 0; m < 4; ++m) parent.mutate(gen);
 
   const bool fast = w >= 6;
@@ -266,6 +277,123 @@ TEST(wmed_oracle, adders_match_naive_wmed) {
     check_against_oracle(kind::adder, w, metrics::adder_spec{w},
                          mult::ripple_adder(w), 300 + w);
   }
+}
+
+/// The child of `parent` that commutes the inputs of its first active AND
+/// gate with two distinct inputs: the same function and cone through a
+/// patched schedule.  `dirty` receives the two swapped genes.
+cgp::genotype commute_active_and(const cgp::genotype& parent,
+                                 std::vector<std::uint32_t>& dirty) {
+  std::vector<std::uint8_t> active;
+  parent.mark_cone(active);
+  const cgp::parameters& p = parent.params();
+  for (std::size_t k = 0; k < parent.nodes().size(); ++k) {
+    const cgp::genotype::node_genes& n = parent.nodes()[k];
+    if (!active[k] || p.function_set[n.fn] != circuit::gate_fn::and2 ||
+        n.in0 == n.in1) {
+      continue;
+    }
+    circuit::netlist swapped(p.num_inputs, p.num_outputs);
+    for (std::size_t j = 0; j < parent.nodes().size(); ++j) {
+      const cgp::genotype::node_genes& m = parent.nodes()[j];
+      swapped.add_gate(p.function_set[m.fn], j == k ? m.in1 : m.in0,
+                       j == k ? m.in0 : m.in1);
+    }
+    for (std::size_t o = 0; o < p.num_outputs; ++o) {
+      swapped.set_output(o, parent.output_genes()[o]);
+    }
+    rng unused(0);
+    const cgp::genotype donor = cgp::genotype::from_netlist(p, swapped, unused);
+    dirty = {static_cast<std::uint32_t>(3 * k),
+             static_cast<std::uint32_t>(3 * k + 1)};
+    cgp::genotype child = parent;
+    child.copy_genes_from(donor, dirty);
+    return child;
+  }
+  ADD_FAILURE() << "no active AND gate with distinct inputs";
+  return parent;
+}
+
+/// Returns how many cases would have been screened out without the margin.
+template <typename Spec>
+std::size_t check_equal_error_child(kind k, unsigned w, const Spec& spec,
+                                    const circuit::netlist& seed,
+                                    std::uint64_t seed_value) {
+  rng gen(seed_value);
+  cgp::genotype parent =
+      cgp::genotype::from_netlist(padded_params(seed), seed, gen);
+  for (int m = 0; m < 6; ++m) parent.mutate(gen);
+
+  std::vector<std::uint32_t> dirty;
+  const cgp::genotype child = commute_active_and(parent, dirty);
+  EXPECT_EQ(child.decode_cone().num_gates(), parent.decode_cone().num_gates());
+  {
+    cgp::cone_program cone;
+    cone.bind(parent);
+    EXPECT_EQ(cone.apply(parent, child, dirty),
+              cgp::cone_program::delta::patched);
+    cone.release_child(parent);
+  }
+  const std::vector<std::int64_t> rows = error_rows(k, w, child.decode());
+
+  cgp::evolver::options opts;
+  opts.error_tiebreak = true;
+  std::size_t unmargined_screens = 0;
+  for (const auto& [name, pmf] : adversarial_pmfs(w)) {
+    const std::string where = std::string(kind_name(k)) + " w=" +
+                              std::to_string(w) + " " + name;
+    // An unbounded target keeps every candidate feasible (some of the
+    // masses are not normalized), so only the error screen can reject the
+    // child.
+    const auto shared =
+        metrics::basic_wmed_evaluator<Spec>::make_shared_state(spec, pmf);
+    const auto evaluator = core::make_incremental_wmed_evaluator<Spec>(
+        shared, tech::cell_library::nangate45_like(),
+        std::numeric_limits<double>::infinity());
+    const cgp::evaluation parent_eval = evaluator->evaluate_and_bind(parent);
+    EXPECT_TRUE(parent_eval.feasible) << where;
+    const cgp::evaluation got = evaluator->evaluate_child(
+        parent, child, dirty, cgp::evolver::bound_for(parent_eval, opts));
+    EXPECT_EQ(got.error, parent_eval.error) << where;
+    EXPECT_EQ(got.area, parent_eval.area) << where;
+    EXPECT_TRUE(got.feasible) << where;
+    EXPECT_TRUE(cgp::not_worse(got, parent_eval)) << where;
+    const double expected = oracle_wmed(k, w, rows, pmf);
+    EXPECT_LE(std::abs(got.error - expected), 1e-12 * expected) << where;
+
+    // Would the parent's error itself, as the abort bound, have screened
+    // out this equal-error child?
+    metrics::basic_wmed_evaluator<Spec> sweep(shared);
+    cgp::cone_program cone;
+    cone.bind(child);
+    if (sweep.evaluate_program(cone.program(), parent_eval.error) >
+        parent_eval.error) {
+      ++unmargined_screens;
+    }
+  }
+  return unmargined_screens;
+}
+
+TEST(wmed_oracle, equal_error_mutants_survive_the_screen_margin) {
+  // Under error_tiebreak a mutant of the parent's area is swept only up to
+  // the parent's error plus a rounding margin (core/wmed_approximator.cpp).
+  // A mutant with exactly the parent's error must come back exact — and so
+  // acceptable — under every adversarial distribution.
+  std::size_t unmargined_screens = 0;
+  for (const unsigned w : {6u, 8u}) {
+    unmargined_screens += check_equal_error_child(
+        kind::mult_unsigned, w, metrics::mult_spec{w, false},
+        mult::unsigned_multiplier(w), 400 + w);
+    unmargined_screens += check_equal_error_child(
+        kind::mult_signed, w, metrics::mult_spec{w, true},
+        mult::signed_multiplier(w), 500 + w);
+    unmargined_screens += check_equal_error_child(
+        kind::adder, w, metrics::adder_spec{w}, mult::ripple_adder(w),
+        600 + w);
+  }
+  // The running sum does overshoot the completed value somewhere, so
+  // without the margin this test would catch the wrongly screened child.
+  EXPECT_GT(unmargined_screens, 0u);
 }
 
 }  // namespace
