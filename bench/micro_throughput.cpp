@@ -7,7 +7,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -33,6 +35,7 @@
 #include "nn/models.h"
 #include "nn/quantize.h"
 #include "nn/trainer.h"
+#include "support/checksum.h"
 #include "support/rng.h"
 #include "support/simd.h"
 #include "tech/analysis.h"
@@ -616,6 +619,80 @@ void bm_store_get(benchmark::State& state) {
   std::filesystem::remove_all(root, ec);
 }
 BENCHMARK(bm_store_get);
+
+/// One result-store index record, in the journal's own line format
+/// (`put <kind> <key> <hash16> <size> <crc8> crc <8hex>`).  The open and
+/// refresh benches write journals directly: open() replays the index
+/// alone, and thousands of real puts would spend the setup in fsync.
+std::string store_index_record(std::uint64_t i) {
+  static constexpr const char* kinds[] = {"session", "session", "table",
+                                          "front"};
+  char body[128];
+  std::snprintf(body, sizeof body, "put %s %s %016llx %llu %08x",
+                kinds[i % 4], core::result_store::format_key(i).c_str(),
+                static_cast<unsigned long long>(i * 0x9e3779b97f4a7c15ULL),
+                static_cast<unsigned long long>(1000 + i % 9000),
+                static_cast<unsigned>(i * 2654435761u));
+  char line[160];
+  std::snprintf(line, sizeof line, "%s crc %08x\n", body,
+                support::crc32(body));
+  return line;
+}
+
+/// A store root whose index holds `records` distinct mappings.
+std::string store_with_index(const char* name, std::size_t records) {
+  const std::string root =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
+  (void)core::result_store::open(root);  // directories + index header
+  std::ofstream os(root + "/index.axc", std::ios::binary | std::ios::app);
+  for (std::size_t i = 0; i < records; ++i) os << store_index_record(i);
+  return root;
+}
+
+void bm_store_open(benchmark::State& state) {
+  // Full index replay: what every whole-store reopen costs at N records
+  // (a serving daemon accumulates ~4 per miss served).  Linear in N.
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const std::string root = store_with_index("axc-bench-store-open", records);
+  core::store_open_report report;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::result_store::open(root, &report));
+  }
+  if (report.entries != records || report.index_salvaged ||
+      report.index_rebuilt) {
+    state.SkipWithError("journal did not replay cleanly");
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
+}
+BENCHMARK(bm_store_open)->Arg(256)->Arg(1024)->Arg(4096);
+
+void bm_store_refresh(benchmark::State& state) {
+  // A reader of a 4096-record store catching up with one record another
+  // process appended — the daemon's per-miss store refresh.  Independent
+  // of the store size.
+  constexpr std::size_t kRecords = 4096;
+  const std::string root = store_with_index("axc-bench-store-refresh",
+                                            kRecords);
+  auto reader = core::result_store::open(root);
+  std::ofstream journal(root + "/index.axc",
+                        std::ios::binary | std::ios::app);
+  std::uint64_t next = kRecords;
+  for (auto _ : state) {
+    state.PauseTiming();
+    journal << store_index_record(next++) << std::flush;
+    state.ResumeTiming();
+    reader->refresh();
+  }
+  if (reader->entries().size() != next) {
+    state.SkipWithError("refresh missed appended records");
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
+}
+BENCHMARK(bm_store_refresh);
 
 /// The spec whose front the serving benches request — small but real, so
 /// store_key() and the request text have production shape.

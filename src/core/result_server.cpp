@@ -13,6 +13,7 @@
 #include "support/io.h"
 
 #if AXC_HAS_NET
+#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 #endif
@@ -300,11 +301,7 @@ void result_server::replay_journal() {
       continue;
     }
     std::scoped_lock lock(jobs_mutex_);
-    auto item = std::make_unique<job>();
-    item->key = key;
-    item->spec = *std::move(spec);
-    item->state = job_state::queued;
-    jobs_.push_back(std::move(item));
+    jobs_.try_emplace(key, job{*std::move(spec), job_state::queued});
     queue_.push_back(key);
     settled.push_back(key);  // guard against duplicate enqueue records
     std::scoped_lock stats_lock(stats_mutex_);
@@ -326,7 +323,9 @@ bool result_server::start() {
     }
   }
 #if AXC_HAS_NET
-  if (::pipe(stop_pipe_) != 0) {
+  // Close-on-exec, like every fd the daemon owns: the workers it spawns
+  // must not inherit the stop pipe, the listener or client connections.
+  if (::pipe2(stop_pipe_, O_CLOEXEC) != 0) {
     std::fprintf(stderr, "axc-serve: cannot create stop pipe\n");
     return false;
   }
@@ -359,9 +358,9 @@ void result_server::request_stop() {
 #endif
 }
 
-void result_server::reopen_store() {
+void result_server::refresh_store() {
   std::scoped_lock lock(store_mutex_);
-  store_ = result_store::open(config_.store_dir);
+  if (store_) store_->refresh();
 }
 
 serve_stats result_server::stats() const {
@@ -451,35 +450,36 @@ serve_reply result_server::serve_table(const serve_request& request) {
                      .payload = *std::move(bytes)};
 }
 
+std::optional<std::string> result_server::job_status_locked(
+    std::uint64_t key) const {
+  if (const auto it = jobs_.find(key); it != jobs_.end()) {
+    return it->second.state == job_state::queued ? "queued" : "running";
+  }
+  if (failed_.contains(key)) return "failed";
+  return std::nullopt;
+}
+
 serve_reply result_server::enqueue_miss(const serve_request& request,
                                         std::uint64_t key) {
   const std::string key16 = result_store::format_key(key);
   // Another process (a coordinator publishing out-of-band) may have landed
-  // this front since our index was loaded: reopen and recheck before
-  // paying for a sweep.
-  reopen_store();
+  // this front since our index was last read: catch up before paying for
+  // a sweep.
+  refresh_store();
+  std::unique_lock lock(jobs_mutex_);
+  if (const auto status = job_status_locked(key)) {
+    // Coalesce: someone else already owns this key's sweep (or it failed).
+    std::scoped_lock stats_lock(stats_mutex_);
+    if (*status != "failed") ++stats_.coalesced;
+    return serve_reply{.status = *status, .key = key16};
+  }
+  // No job knows the key: either the front was published (by us — a job
+  // is released only after the store has seen its front — or by another
+  // process), or nobody has swept it yet.  Probe under the job lock so a
+  // job released since the caller's probe cannot be missed.
   {
     serve_reply again = serve_front(key, request.budget);
     if (again.status == "hit") return again;
-  }
-  std::unique_lock lock(jobs_mutex_);
-  for (const auto& item : jobs_) {
-    if (item->key != key) continue;
-    // Coalesce: someone else already owns this key's sweep.
-    std::scoped_lock stats_lock(stats_mutex_);
-    switch (item->state) {
-      case job_state::queued:
-        ++stats_.coalesced;
-        return serve_reply{.status = "queued", .key = key16};
-      case job_state::running:
-        ++stats_.coalesced;
-        return serve_reply{.status = "running", .key = key16};
-      case job_state::failed:
-        return serve_reply{.status = "failed", .key = key16};
-      case job_state::done:
-        // Done but not in the store: the sweep's publish failed.
-        return serve_reply{.status = "failed", .key = key16};
-    }
   }
   if (stop_.load(std::memory_order_relaxed)) {
     return serve_reply{.status = "draining", .key = key16};
@@ -506,11 +506,7 @@ serve_reply result_server::enqueue_miss(const serve_request& request,
   // durable, but no worker thread knows about it and no reply was sent.
   // _Exit models SIGKILL; the restarted server must re-adopt and run it.
   if (fault::fire(kFaultCrashMidEnqueue)) std::_Exit(kServerCrashExit);
-  auto item = std::make_unique<job>();
-  item->key = key;
-  item->spec = request.spec;
-  item->state = job_state::queued;
-  jobs_.push_back(std::move(item));
+  jobs_.try_emplace(key, job{request.spec, job_state::queued});
   queue_.push_back(key);
   lock.unlock();
   jobs_cv_.notify_all();
@@ -529,27 +525,17 @@ serve_reply result_server::process(const serve_request& request) {
   const std::string key16 = result_store::format_key(key);
 
   if (request.verb == "status") {
+    // Both looks under the job lock: a job released in between would
+    // otherwise be in neither place.
+    std::scoped_lock lock(jobs_mutex_);
     {
-      std::scoped_lock lock(store_mutex_);
+      std::scoped_lock store_lock(store_mutex_);
       if (store_ && store_->contains("front", key16)) {
         return serve_reply{.status = "hit", .key = key16};
       }
     }
-    std::scoped_lock lock(jobs_mutex_);
-    for (const auto& item : jobs_) {
-      if (item->key != key) continue;
-      switch (item->state) {
-        case job_state::queued:
-          return serve_reply{.status = "queued", .key = key16};
-        case job_state::running:
-          return serve_reply{.status = "running", .key = key16};
-        case job_state::failed:
-          return serve_reply{.status = "failed", .key = key16};
-        case job_state::done:
-          return serve_reply{.status = "failed", .key = key16};
-      }
-    }
-    return serve_reply{.status = "unknown", .key = key16};
+    return serve_reply{.status = job_status_locked(key).value_or("unknown"),
+                       .key = key16};
   }
 
   serve_reply reply = serve_front(key, request.budget);
@@ -566,15 +552,9 @@ serve_reply result_server::process(const serve_request& request) {
                         std::chrono::milliseconds(request.timeout_ms);
   {
     std::unique_lock lock(jobs_mutex_);
+    // Settled = released: published (re-probe the store) or failed.
     const bool settled = jobs_cv_.wait_until(lock, deadline, [&] {
-      if (stop_.load(std::memory_order_relaxed)) return true;
-      for (const auto& item : jobs_) {
-        if (item->key == key) {
-          return item->state == job_state::done ||
-                 item->state == job_state::failed;
-        }
-      }
-      return true;  // job vanished: settle and re-probe the store
+      return stop_.load(std::memory_order_relaxed) || !jobs_.contains(key);
     });
     if (stop_.load(std::memory_order_relaxed)) {
       return serve_reply{.status = "draining", .key = key16};
@@ -588,8 +568,8 @@ serve_reply result_server::process(const serve_request& request) {
 
 // ---- Background sweeps ---------------------------------------------------
 
-void result_server::run_job(job& item) {
-  const std::string key16 = result_store::format_key(item.key);
+void result_server::run_job(std::uint64_t key, job& item) {
+  const std::string key16 = result_store::format_key(key);
   shard_runner_config cfg;
   cfg.shards = config_.shards;
   cfg.max_attempts = config_.max_attempts;
@@ -612,17 +592,20 @@ void result_server::run_job(job& item) {
     item.state = job_state::queued;
     return;
   }
-  reopen_store();
   bool published = false;
   {
     std::scoped_lock lock(store_mutex_);
+    if (store_) store_->refresh();
     published = result.complete && store_ &&
                 store_->contains("front", key16);
   }
   (void)journal_append((published ? "done " : "fail ") + key16);
   {
+    // Release the job (`item` dies here).  The refresh above happened
+    // first, so anyone who finds the key gone also finds its front.
     std::scoped_lock lock(jobs_mutex_);
-    item.state = published ? job_state::done : job_state::failed;
+    jobs_.erase(key);
+    if (!published) failed_.insert(key);
   }
   {
     std::scoped_lock lock(stats_mutex_);
@@ -638,6 +621,7 @@ void result_server::run_job(job& item) {
 void result_server::worker_loop() {
   while (true) {
     job* item = nullptr;
+    std::uint64_t key = 0;
     {
       std::unique_lock lock(jobs_mutex_);
       jobs_cv_.wait(lock, [&] {
@@ -647,19 +631,16 @@ void result_server::worker_loop() {
         // Drain: leave queued jobs journaled for the next life.
         return;
       }
-      const std::uint64_t key = queue_.front();
+      key = queue_.front();
       queue_.pop_front();
-      for (const auto& candidate : jobs_) {
-        if (candidate->key == key) {
-          item = candidate.get();
-          break;
-        }
+      if (const auto it = jobs_.find(key); it != jobs_.end()) {
+        item = &it->second;
+        item->state = job_state::running;
       }
-      if (item) item->state = job_state::running;
     }
     if (item) {
       jobs_cv_.notify_all();  // wake `status`/`wait` observers
-      run_job(*item);
+      run_job(key, *item);
     }
   }
 }

@@ -53,6 +53,8 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/result_store.h"
@@ -174,10 +176,9 @@ class result_server {
   [[nodiscard]] const server_config& config() const { return config_; }
 
  private:
-  enum class job_state : std::uint8_t { queued, running, done, failed };
+  enum class job_state : std::uint8_t { queued, running };
 
   struct job {
-    std::uint64_t key{0};
     sweep_spec spec{};
     job_state state{job_state::queued};
   };
@@ -190,12 +191,16 @@ class result_server {
   [[nodiscard]] serve_reply serve_table(const serve_request& request);
   [[nodiscard]] serve_reply enqueue_miss(const serve_request& request,
                                          std::uint64_t key);
+  /// queued / running / failed for a key this life knows (jobs_mutex_
+  /// held); nullopt when it has no job and no failure on record.
+  [[nodiscard]] std::optional<std::string> job_status_locked(
+      std::uint64_t key) const;
   void worker_loop();
-  void run_job(job& item);
+  void run_job(std::uint64_t key, job& item);
   void handle_connection(connection& conn);
   [[nodiscard]] bool journal_append(std::string_view body);
   void replay_journal();
-  void reopen_store();
+  void refresh_store();
   [[nodiscard]] std::string job_spec_path(std::uint64_t key) const;
 
   server_config config_;
@@ -203,13 +208,20 @@ class result_server {
   mutable std::mutex store_mutex_;
 
   // Job queue + coalescing map, all under jobs_mutex_; jobs_cv_ wakes the
-  // worker thread and any `wait` verbs blocked on a key.
+  // worker thread and any `wait` verbs blocked on a key.  Lock order:
+  // jobs_mutex_, then store_mutex_, then stats_mutex_.
   mutable std::mutex jobs_mutex_;
   std::condition_variable jobs_cv_;
   std::deque<std::uint64_t> queue_;
-  /// Every key ever enqueued this life; unique_ptr keeps each job's
-  /// address stable while the worker thread runs it outside the lock.
-  std::vector<std::unique_ptr<job>> jobs_;
+  /// Unsettled jobs only (node-based, so a job's address stays stable
+  /// while the worker thread runs it outside the lock).  A published job
+  /// is erased — its answer is the store's front from then on, and the
+  /// store was refreshed before the erase — so memory does not grow with
+  /// the misses served.
+  std::unordered_map<std::uint64_t, job> jobs_;
+  /// Keys whose sweep failed this life: retries answer `failed` instead of
+  /// re-running it.  The spec is not kept.
+  std::unordered_set<std::uint64_t> failed_;
   std::thread worker_;
 
   support::net::unix_listener listener_;

@@ -1,6 +1,7 @@
 #include "core/result_store.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,11 @@
 #include <iostream>
 #include <sstream>
 #include <system_error>
+#include <unordered_set>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
+#endif
 
 #include "support/checksum.h"
 #include "support/fault.h"
@@ -212,19 +218,30 @@ struct decoded_object {
   if (!stored || *stored != support::crc32(line.substr(0, crc_at))) {
     return std::nullopt;
   }
-  std::istringstream is{std::string(line.substr(0, crc_at))};
-  std::string tag, kind, key, hash_hex, crc_hex;
+  // `put <kind> <key> <hash16> <size> <payloadcrc8>`: six space-separated
+  // tokens, split in place (this runs once per journal line on open()).
+  std::string_view fields[6];
+  std::string_view rest = line.substr(0, crc_at);
+  for (std::string_view& field : fields) {
+    const std::size_t sp = rest.find(' ');
+    field = rest.substr(0, sp);
+    if (field.empty()) return std::nullopt;
+    rest = sp == std::string_view::npos ? std::string_view{}
+                                        : rest.substr(sp + 1);
+  }
+  if (fields[0] != "put" || !rest.empty()) return std::nullopt;
+  const auto hash = parse_hex64(fields[3]);
+  const auto pcrc = parse_hex64(fields[5]);
   std::uint64_t size = 0;
-  if (!(is >> tag >> kind >> key >> hash_hex >> size >> crc_hex) ||
-      tag != "put") {
+  const auto [end, ec] = std::from_chars(
+      fields[4].data(), fields[4].data() + fields[4].size(), size);
+  if (!hash || !pcrc || ec != std::errc{} ||
+      end != fields[4].data() + fields[4].size()) {
     return std::nullopt;
   }
-  const auto hash = parse_hex64(hash_hex);
-  const auto pcrc = parse_hex64(crc_hex);
-  if (!hash || !pcrc) return std::nullopt;
   store_entry e;
-  e.kind = std::move(kind);
-  e.key = std::move(key);
+  e.kind = std::string(fields[1]);
+  e.key = std::string(fields[2]);
   e.hash = *hash;
   e.size = size;
   e.payload_crc = static_cast<std::uint32_t>(*pcrc);
@@ -239,14 +256,14 @@ struct decoded_object {
   return line;
 }
 
-void upsert(std::vector<store_entry>& index, store_entry entry) {
-  for (auto& e : index) {
-    if (e.kind == entry.kind && e.key == entry.key) {
-      e = std::move(entry);
-      return;
-    }
-  }
-  index.push_back(std::move(entry));
+[[nodiscard]] std::string slot_key(std::string_view kind,
+                                   std::string_view key) {
+  std::string slot;
+  slot.reserve(kind.size() + 1 + key.size());
+  slot += kind;
+  slot += ' ';  // kinds and keys are whitespace-free tokens
+  slot += key;
+  return slot;
 }
 
 void sort_entries(std::vector<store_entry>& index) {
@@ -278,66 +295,107 @@ std::optional<result_store> result_store::open(std::string root,
   if (ec) return std::nullopt;
 
   result_store store(std::move(root));
-  const std::string index_path = store.root_ + "/index.axc";
-  bool need_rebuild = false;
-  bool index_damaged = false;
-  if (const auto bytes = read_file_bytes(index_path)) {
-    // Replay the journal: verified header, then one record per line with
-    // salvage-on-damage (drop the record, resync at the next newline).
-    std::size_t pos = 0;
-    const std::size_t first_nl = bytes->find('\n');
-    if (first_nl == std::string::npos ||
-        bytes->substr(0, first_nl) != encode_index_header().substr(
-                                          0, encode_index_header().size() - 1)) {
-      need_rebuild = true;
-      index_damaged = true;
-    } else {
-      pos = first_nl + 1;
-      while (pos < bytes->size()) {
-        std::size_t nl = bytes->find('\n', pos);
-        const bool torn = nl == std::string::npos;
-        if (torn) nl = bytes->size();
-        const std::string_view line(bytes->data() + pos, nl - pos);
-        if (auto entry = decode_index_record(line); entry && !torn) {
-          upsert(store.index_, *std::move(entry));
-        } else if (!line.empty()) {
-          local.index_salvaged = true;  // damaged/torn record dropped
-        }
-        pos = nl + 1;
-      }
-    }
-  } else {
-    need_rebuild = true;
-  }
-
-  if (need_rebuild) {
-    // The objects are the truth; reconstruct the mapping from them.  With a
-    // lost journal the per-(kind, key) ordering of superseded objects is
-    // gone, so the rebuild is only guaranteed faithful when each mapping
-    // has a single live object — which gc() maintains and the coordinator's
-    // content-addressed idempotent publishes never violate.  Sorting by
-    // (kind, key, hash) makes the rebuilt index deterministic regardless of
-    // directory iteration order.
-    std::vector<store_entry> found;
-    store.scan_objects(found);
-    // A brand-new store (no index, no objects) is just initialized, not
-    // "rebuilt" — only report recovery when there was something to recover.
-    local.index_rebuilt = index_damaged || !found.empty();
-    std::sort(found.begin(), found.end(),
-              [](const store_entry& a, const store_entry& b) {
-                if (a.kind != b.kind) return a.kind < b.kind;
-                if (a.key != b.key) return a.key < b.key;
-                return a.hash < b.hash;
-              });
-    for (auto& e : found) upsert(store.index_, std::move(e));
-  }
-
-  if ((need_rebuild || local.index_salvaged) && !store.rewrite_index()) {
-    return std::nullopt;
-  }
+  if (store.load(local) && !store.rewrite_index()) return std::nullopt;
   local.entries = store.index_.size();
   if (report) *report = local;
   return store;
+}
+
+bool result_store::load(store_open_report& report) {
+  index_.clear();
+  slots_.clear();
+  index_fd_ = support::open_read(index_path());
+  index_offset_ = 0;
+  index_last_line_.clear();
+
+  std::string bytes;
+  const bool readable =
+      index_fd_.valid() && support::read_to_end(index_fd_.get(), 0, bytes);
+  const std::string header = encode_index_header();
+  if (readable && bytes.starts_with(header)) {
+    // Replay the journal: verified header, then one record per line with
+    // salvage-on-damage (drop the record, resync at the next newline).
+    index_offset_ = header.size();
+    index_last_line_ = header;
+    const std::size_t end =
+        apply_records(bytes, 0, header.size(), report.index_salvaged);
+    // A torn tail is damage to open() (which rewrites it away) but only
+    // an append in progress to refresh(), which re-reads it next time.
+    if (end < bytes.size()) report.index_salvaged = true;
+    return report.index_salvaged;
+  }
+  // Missing or header-damaged: nothing to track, so every refresh() redoes
+  // this scan until open() rewrites the index.
+  index_fd_.reset();
+
+  // The objects are the truth; reconstruct the mapping from them.  With a
+  // lost journal the per-(kind, key) ordering of superseded objects is
+  // gone, so the rebuild is only guaranteed faithful when each mapping has
+  // a single live object — which gc() maintains and the coordinator's
+  // content-addressed idempotent publishes never violate.  Sorting by
+  // (kind, key, hash) makes the rebuilt index deterministic regardless of
+  // directory iteration order.
+  std::vector<store_entry> found;
+  scan_objects(found);
+  // A brand-new store (no index, no objects) is just initialized, not
+  // "rebuilt" — only report recovery when there was something to recover.
+  report.index_rebuilt = readable || !found.empty();
+  std::sort(found.begin(), found.end(),
+            [](const store_entry& a, const store_entry& b) {
+              if (a.kind != b.kind) return a.kind < b.kind;
+              if (a.key != b.key) return a.key < b.key;
+              return a.hash < b.hash;
+            });
+  for (auto& e : found) upsert(std::move(e));
+  return true;
+}
+
+std::size_t result_store::apply_records(std::string_view bytes,
+                                        std::uint64_t base, std::size_t pos,
+                                        bool& salvaged) {
+  std::size_t last = std::string_view::npos;
+  while (pos < bytes.size()) {
+    const std::size_t nl = bytes.find('\n', pos);
+    if (nl == std::string_view::npos) break;  // torn tail: not yet a record
+    if (auto entry = decode_index_record(bytes.substr(pos, nl - pos))) {
+      upsert(*std::move(entry));
+    } else if (nl > pos) {
+      salvaged = true;  // damaged record dropped
+    }
+    last = pos;
+    pos = nl + 1;
+  }
+  if (last != std::string_view::npos) {
+    index_last_line_ = bytes.substr(last, pos - last);
+    index_offset_ = base + pos;
+  }
+  return pos;
+}
+
+void result_store::refresh() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct ::stat on_disk {};
+  struct ::stat held {};
+  if (index_fd_.valid() && ::stat(index_path().c_str(), &on_disk) == 0 &&
+      ::fstat(index_fd_.get(), &held) == 0 &&
+      on_disk.st_ino == held.st_ino && on_disk.st_dev == held.st_dev &&
+      static_cast<std::uint64_t>(held.st_size) >= index_offset_) {
+    // Same file, not shrunk.  Re-read from the start of the last consumed
+    // line: if those bytes still match, everything after them is new.
+    const std::uint64_t from = index_offset_ - index_last_line_.size();
+    std::string bytes;
+    if (support::read_to_end(index_fd_.get(), from, bytes) &&
+        bytes.starts_with(index_last_line_)) {
+      bool salvaged = false;
+      (void)apply_records(bytes, from, index_last_line_.size(), salvaged);
+      return;
+    }
+  }
+#endif
+  // Replaced (gc/scrub/salvage rename), shrunk, rewritten in place, or
+  // never tracked: start over from whatever the index is now.
+  store_open_report ignored;
+  (void)load(ignored);
 }
 
 void result_store::scan_objects(std::vector<store_entry>& found) const {
@@ -359,17 +417,42 @@ void result_store::scan_objects(std::vector<store_entry>& found) const {
   }
 }
 
-bool result_store::rewrite_index() const {
+bool result_store::rewrite_index() {
   std::string text = encode_index_header();
   std::vector<store_entry> sorted = index_;
   sort_entries(sorted);
   for (const auto& e : sorted) text += encode_index_record(e);
-  return support::write_file_durable(root_ + "/index.axc", text);
+  // The tracked file is being replaced; the next refresh() reloads.
+  index_fd_.reset();
+  return support::write_file_durable(index_path(), text);
+}
+
+void result_store::upsert(store_entry entry) {
+  const auto [slot, inserted] =
+      slots_.try_emplace(slot_key(entry.kind, entry.key), index_.size());
+  if (inserted) {
+    index_.push_back(std::move(entry));
+  } else {
+    index_[slot->second] = std::move(entry);
+  }
+}
+
+const store_entry* result_store::find(std::string_view kind,
+                                      std::string_view key) const {
+  const auto slot = slots_.find(slot_key(kind, key));
+  return slot == slots_.end() ? nullptr : &index_[slot->second];
+}
+
+void result_store::reindex() {
+  slots_.clear();
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    slots_.emplace(slot_key(index_[i].kind, index_[i].key), i);
+  }
 }
 
 bool result_store::append_index_record(const store_entry& entry) {
   if (fault::fire(kFaultIndexAppendFail)) return false;
-  const std::string path = root_ + "/index.axc";
+  const std::string path = index_path();
   {
     std::ofstream os(path, std::ios::binary | std::ios::app);
     if (!os) return false;
@@ -433,27 +516,18 @@ std::optional<std::uint64_t> result_store::put(std::string_view kind,
     return std::nullopt;
   }
   const std::uint64_t hash = entry.hash;
-  upsert(index_, std::move(entry));
+  upsert(std::move(entry));
   return hash;
 }
 
 bool result_store::contains(std::string_view kind,
                             std::string_view key) const {
-  for (const auto& e : index_) {
-    if (e.kind == kind && e.key == key) return true;
-  }
-  return false;
+  return find(kind, key) != nullptr;
 }
 
 std::optional<std::string> result_store::get(std::string_view kind,
                                              std::string_view key) const {
-  const store_entry* entry = nullptr;
-  for (const auto& e : index_) {
-    if (e.kind == kind && e.key == key) {
-      entry = &e;
-      break;
-    }
-  }
+  const store_entry* entry = find(kind, key);
   if (!entry) return std::nullopt;
   const std::string path = object_path(entry->hash);
   const auto bytes = read_file_bytes(path);
@@ -486,7 +560,7 @@ std::vector<store_entry> result_store::entries(std::string_view kind) const {
 
 store_scrub_report result_store::scrub() {
   store_scrub_report report;
-  std::vector<std::uint64_t> bad_hashes;
+  std::unordered_set<std::uint64_t> bad_hashes;
 
   std::error_code ec;
   std::vector<fs::path> object_files;
@@ -520,21 +594,19 @@ store_scrub_report result_store::scrub() {
     if (!ec) ++report.quarantined;
     if (const auto hash =
             parse_hex64(path.stem().string())) {
-      bad_hashes.push_back(*hash);
+      bad_hashes.insert(*hash);
     }
   }
 
   // Drop index entries whose object was quarantined or is simply gone.
   const std::size_t before = index_.size();
   std::erase_if(index_, [&](const store_entry& e) {
-    if (std::find(bad_hashes.begin(), bad_hashes.end(), e.hash) !=
-        bad_hashes.end()) {
-      return true;
-    }
+    if (bad_hashes.contains(e.hash)) return true;
     std::error_code exists_ec;
     return !fs::exists(object_path(e.hash), exists_ec);
   });
   report.entries_dropped = before - index_.size();
+  if (report.entries_dropped > 0) reindex();
 
   if ((report.quarantined > 0 || report.entries_dropped > 0) &&
       !rewrite_index()) {
@@ -557,14 +629,11 @@ store_gc_report result_store::gc() {
     }
   }
   std::sort(object_files.begin(), object_files.end());
+  std::unordered_set<std::uint64_t> live_hashes;
+  for (const store_entry& e : index_) live_hashes.insert(e.hash);
   for (const auto& path : object_files) {
     const auto hash = parse_hex64(path.stem().string());
-    const bool live =
-        hash && std::any_of(index_.begin(), index_.end(),
-                            [&](const store_entry& e) {
-                              return e.hash == *hash;
-                            });
-    if (live) continue;
+    if (hash && live_hashes.contains(*hash)) continue;
     const auto size = fs::file_size(path, ec);
     if (!fs::remove(path, ec) || ec) continue;
     ++report.objects_removed;

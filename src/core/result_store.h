@@ -23,6 +23,9 @@
 //     index degrades gracefully — open() rebuilds it by scanning the
 //     object files themselves (the objects are the truth; the index is a
 //     cache of it);
+//   * a long-lived reader (the result server) follows other processes'
+//     publishes with refresh(), which applies only the records appended
+//     since its last look instead of re-reading the whole journal;
 //   * scrub() verifies every object file's CRCs and *quarantines* corrupt
 //     ones (renames them into `<root>/quarantine/`, never deletes — bit
 //     rot is evidence worth keeping), dropping their index entries so
@@ -55,9 +58,11 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/pareto.h"
+#include "support/io.h"
 
 namespace axc::core {
 
@@ -98,6 +103,16 @@ class result_store {
       std::string root, store_open_report* report = nullptr);
 
   [[nodiscard]] const std::string& root() const { return root_; }
+
+  /// Catches up with what other processes (and this one) published since
+  /// open() or the last refresh(): applies the complete index records
+  /// appended past the last consumed offset, skipping damaged ones the
+  /// way open() does and leaving a torn tail for a later call.  Reloads
+  /// the whole index when it was replaced (a gc, scrub or salvage
+  /// rewrite), shrank, or changed under the last record consumed.  Never
+  /// writes.  Cost: one stat + one pread of the new records, against
+  /// open()'s full replay.
+  void refresh();
 
   /// Stores `payload` under (kind, key), replacing any previous mapping
   /// (the superseded object stays on disk until gc()).  Both kind and key
@@ -140,16 +155,39 @@ class result_store {
  private:
   explicit result_store(std::string root) : root_(std::move(root)) {}
 
+  [[nodiscard]] std::string index_path() const { return root_ + "/index.axc"; }
   [[nodiscard]] std::string object_path(std::uint64_t hash) const;
   [[nodiscard]] bool append_index_record(const store_entry& entry);
-  [[nodiscard]] bool rewrite_index() const;
+  [[nodiscard]] bool rewrite_index();
   void scan_objects(std::vector<store_entry>& found) const;
+  /// Replaces the in-memory index with the on-disk one (journal replay, or
+  /// an object scan when the index is missing or its header is damaged)
+  /// and starts tracking the file read.  Never writes; true when open()
+  /// must rewrite the index (rebuilt, salvaged or absent).
+  bool load(store_open_report& report);
+  /// Applies the complete records of `bytes` (read from file offset
+  /// `base`) from `pos` on and moves the refresh cursor past the last
+  /// complete line; returns that line's end (a torn tail stays unread).
+  std::size_t apply_records(std::string_view bytes, std::uint64_t base,
+                            std::size_t pos, bool& salvaged);
+  void upsert(store_entry entry);
+  [[nodiscard]] const store_entry* find(std::string_view kind,
+                                        std::string_view key) const;
+  void reindex();
 
   std::string root_;
-  /// Live (kind, key) -> entry map; insertion-ordered replay of the
-  /// journal, kept sorted for entries().  Linear scan is fine at the store
-  /// sizes a coordinator sees; the journal on disk is the scaling story.
+  /// Live mappings in no particular order (entries() and rewrites sort);
+  /// slots_ maps "<kind> <key>" to its position, so open() is linear in
+  /// the journal and lookups are O(1) at any store size.
   std::vector<store_entry> index_;
+  std::unordered_map<std::string, std::size_t> slots_;
+  /// How far refresh() has read the on-disk index: the file itself (held
+  /// open, so its inode cannot be recycled for a replacement while we
+  /// track it), the offset just past the last complete line consumed, and
+  /// that line's bytes, re-checked before trusting the offset.
+  support::unique_fd index_fd_;
+  std::uint64_t index_offset_{0};
+  std::string index_last_line_;
 };
 
 /// "axc-front v1" text serialization of a Pareto front (x/y as %.17g so

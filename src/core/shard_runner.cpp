@@ -22,6 +22,10 @@
 #include "support/launcher.h"
 #include "support/subprocess.h"
 
+#if AXC_HAS_SUBPROCESS
+#include <poll.h>
+#endif
+
 namespace axc::core {
 
 namespace {
@@ -115,6 +119,34 @@ struct shard_state {
   bool failed{false};
   shard_outcome outcome{};
 };
+
+/// Sleeps until the next supervision tick: at most `interval`, but no
+/// longer than it takes some live worker to exit, so a finished shard is
+/// reaped, merged and published at worker speed instead of at the next
+/// tick.  Heartbeat, deadline, backoff and stop checks keep the `interval`
+/// cadence.  Falls back to a plain sleep when any launch has no exit fd.
+void wait_for_tick(const std::vector<shard_state>& states,
+                   std::chrono::milliseconds interval) {
+#if AXC_HAS_SUBPROCESS
+  std::vector<::pollfd> fds;
+  for (const shard_state& s : states) {
+    for (const shard_launch& l : s.launches) {
+      if (!l.proc) continue;
+      if (l.proc->exit_fd() < 0) {
+        std::this_thread::sleep_for(interval);
+        return;
+      }
+      fds.push_back(::pollfd{l.proc->exit_fd(), POLLIN, 0});
+    }
+  }
+  // EINTR just ends the wait early: one extra tick, nothing missed.
+  (void)::poll(fds.data(), static_cast<::nfds_t>(fds.size()),
+               static_cast<int>(interval.count()));
+#else
+  (void)states;
+  std::this_thread::sleep_for(interval);
+#endif
+}
 
 [[nodiscard]] std::string hex16(std::uint64_t v) {
   char buf[17];
@@ -1073,7 +1105,7 @@ sweep_result run_sweep(const sweep_spec& spec,
       if (!s.done && !s.failed) pending = true;
     }
     if (!pending) break;
-    std::this_thread::sleep_for(cfg.poll_interval);
+    wait_for_tick(states, cfg.poll_interval);
   }
 
   sweep_result result = merge_shards(spec, states);

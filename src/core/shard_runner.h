@@ -189,6 +189,11 @@ struct shard_runner_config {
   /// First relaunch delay; doubles (backoff_factor) per further attempt.
   std::chrono::milliseconds backoff{100};
   double backoff_factor{2.0};
+  /// Supervision cadence: heartbeat scrapes, stall/attempt deadlines,
+  /// backoff, speculation and should_stop run at least this often.  A
+  /// worker exit does not wait for it — the loop sleeps in poll() on the
+  /// workers' exit fds and ticks as soon as one finishes (plain sleep on
+  /// platforms without pidfds).
   std::chrono::milliseconds poll_interval{20};
   /// Forwarded to workers (--autosave-generations): mid-job checkpoint
   /// cadence on top of the per-job autosave workers always run with.

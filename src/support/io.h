@@ -22,6 +22,7 @@
 // them in one shared counter.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -39,6 +40,37 @@
 
 namespace axc::support {
 
+/// Owning, move-only file descriptor (closed on destruction).
+class unique_fd {
+ public:
+  unique_fd() = default;
+  explicit unique_fd(int fd) : fd_(fd < 0 ? -1 : fd) {}
+  unique_fd(unique_fd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  unique_fd& operator=(unique_fd&& other) noexcept {
+    if (this != &other) {
+      reset();
+      fd_ = other.fd_;
+      other.fd_ = -1;
+    }
+    return *this;
+  }
+  unique_fd(const unique_fd&) = delete;
+  unique_fd& operator=(const unique_fd&) = delete;
+  ~unique_fd() { reset(); }
+
+  [[nodiscard]] int get() const { return fd_; }
+  [[nodiscard]] bool valid() const { return fd_ >= 0; }
+  void reset() {
+#if defined(__unix__) || defined(__APPLE__)
+    if (fd_ >= 0) ::close(fd_);
+#endif
+    fd_ = -1;
+  }
+
+ private:
+  int fd_{-1};
+};
+
 #if defined(__unix__) || defined(__APPLE__)
 
 namespace detail {
@@ -55,7 +87,7 @@ inline bool fsync_fd(int fd) {
 
 /// fsyncs an existing file by path.  True on success.
 [[nodiscard]] inline bool fsync_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_WRONLY);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
   if (fd < 0) return false;
   const bool ok = detail::fsync_fd(fd);
   ::close(fd);
@@ -68,11 +100,35 @@ inline bool fsync_fd(int fd) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
   const std::string dir = parent.empty() ? "." : parent.string();
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) return false;
   const bool ok = detail::fsync_fd(fd);
   ::close(fd);
   return ok;
+}
+
+/// Opens `path` read-only and close-on-exec; invalid when it can't.
+[[nodiscard]] inline unique_fd open_read(const std::string& path) {
+  return unique_fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+}
+
+/// Appends everything from byte `offset` to end of file onto `out`
+/// (pread, so the descriptor's own position is untouched).  False on a
+/// read error.
+[[nodiscard]] inline bool read_to_end(int fd, std::uint64_t offset,
+                                      std::string& out) {
+  char buf[1 << 16];
+  while (true) {
+    const ::ssize_t n =
+        ::pread(fd, buf, sizeof buf, static_cast<::off_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (n == 0) return true;
+    out.append(buf, static_cast<std::size_t>(n));
+    offset += static_cast<std::uint64_t>(n);
+  }
 }
 
 #else  // no POSIX fd syscalls: flush-to-kernel is the best available
@@ -80,6 +136,10 @@ inline bool fsync_fd(int fd) {
 [[nodiscard]] inline bool fsync_file(const std::string&) { return true; }
 [[nodiscard]] inline bool fsync_parent_dir(const std::string&) {
   return true;
+}
+[[nodiscard]] inline unique_fd open_read(const std::string&) { return {}; }
+[[nodiscard]] inline bool read_to_end(int, std::uint64_t, std::string&) {
+  return false;
 }
 
 #endif

@@ -19,6 +19,11 @@
 // accept loop — the contract tests/test_net_framing.cpp sweeps with
 // truncations, bit flips, bogus lengths and CRC mismatches.
 //
+// Every socket is created close-on-exec (SOCK_CLOEXEC, accept4): the
+// daemon spawns worker processes, and a worker that inherited the
+// listener or a client connection would keep them alive past the
+// daemon's death — clients would connect to a socket nobody accepts.
+//
 // Like support/subprocess.h, non-POSIX builds compile but every entry
 // point reports failure (AXC_HAS_NET == 0) and callers degrade.
 #pragma once
@@ -225,7 +230,7 @@ class unix_stream {
       const std::string& path) {
     ::sockaddr_un addr{};
     if (path.size() >= sizeof addr.sun_path) return std::nullopt;
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) return std::nullopt;
     addr.sun_family = AF_UNIX;
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
@@ -298,7 +303,7 @@ class unix_listener {
       const std::string& path, int backlog = 16) {
     ::sockaddr_un addr{};
     if (path.size() >= sizeof addr.sun_path) return std::nullopt;
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) return std::nullopt;
     ::unlink(path.c_str());
     addr.sun_family = AF_UNIX;
@@ -323,7 +328,7 @@ class unix_listener {
   [[nodiscard]] std::optional<unix_stream> accept() const {
     int client;
     do {
-      client = ::accept(fd_, nullptr, nullptr);
+      client = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
     } while (client < 0 && errno == EINTR);
     if (client < 0) return std::nullopt;
     return unix_stream(client);

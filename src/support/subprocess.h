@@ -1,10 +1,12 @@
 // Minimal POSIX child-process supervision for the sharded sweep runtime.
 //
 // core::shard_runner launches one worker process per shard and needs
-// exactly three operations: spawn with extra environment variables,
-// non-blocking exit polling, and a hard kill for deadline enforcement.
-// This wraps fork/execv/waitpid behind that surface; on non-POSIX builds
-// spawn() reports failure and the coordinator degrades gracefully.
+// exactly four operations: spawn with extra environment variables,
+// non-blocking exit polling, a hard kill for deadline enforcement, and an
+// fd that becomes readable when the child exits (so supervision can sleep
+// in poll() and still wake the moment a worker finishes).  This wraps
+// fork/execv/waitpid and a Linux pidfd behind that surface; on non-POSIX
+// builds spawn() reports failure and the coordinator degrades gracefully.
 #pragma once
 
 #include <optional>
@@ -17,6 +19,9 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#if defined(__linux__)
+#include <sys/syscall.h>
+#endif
 #define AXC_HAS_SUBPROCESS 1
 #else
 #define AXC_HAS_SUBPROCESS 0
@@ -36,14 +41,18 @@ struct exit_status {
 class subprocess {
  public:
   subprocess() = default;
-  subprocess(subprocess&& other) noexcept : pid_(other.pid_) {
+  subprocess(subprocess&& other) noexcept
+      : pid_(other.pid_), exit_fd_(other.exit_fd_) {
     other.pid_ = -1;
+    other.exit_fd_ = -1;
   }
   subprocess& operator=(subprocess&& other) noexcept {
     if (this != &other) {
       reap_if_running();
       pid_ = other.pid_;
+      exit_fd_ = other.exit_fd_;
       other.pid_ = -1;
+      other.exit_fd_ = -1;
     }
     return *this;
   }
@@ -79,6 +88,12 @@ class subprocess {
     }
     subprocess child;
     child.pid_ = pid;
+    // The child cannot be reaped before we do, so the pid still names it
+    // here even if it already exited.  pidfds are always close-on-exec.
+#if defined(__linux__) && defined(SYS_pidfd_open)
+    child.exit_fd_ = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+    if (child.exit_fd_ < 0) child.exit_fd_ = -1;
+#endif
     return child;
 #else
     (void)argv;
@@ -88,6 +103,11 @@ class subprocess {
   }
 
   [[nodiscard]] bool running() const { return pid_ > 0; }
+
+  /// A descriptor that polls readable (POLLIN) once the child has exited
+  /// and until it is reaped; -1 when the kernel has no pidfd support or
+  /// the child was already reaped.  Owned by this handle: never close it.
+  [[nodiscard]] int exit_fd() const { return exit_fd_; }
 
   /// Non-blocking: nullopt while the child runs; its exit_status once it
   /// finished (the child is reaped; further polls return nullopt).  A
@@ -103,7 +123,7 @@ class subprocess {
       r = ::waitpid(pid_, &status, WNOHANG);
     } while (r < 0 && errno == EINTR);
     if (r == 0) return std::nullopt;
-    pid_ = -1;
+    forget_child();
     if (r < 0) return exit_status{127, false};
     if (WIFSIGNALED(status)) {
       return exit_status{128 + WTERMSIG(status), true};
@@ -125,7 +145,7 @@ class subprocess {
     do {
       r = ::waitpid(pid_, &status, 0);
     } while (r < 0 && errno == EINTR);
-    pid_ = -1;
+    forget_child();
     if (r < 0) return exit_status{127, false};
     if (WIFSIGNALED(status)) {
       return exit_status{128 + WTERMSIG(status), true};
@@ -167,8 +187,17 @@ class subprocess {
     do {
       r = ::waitpid(pid_, &status, 0);
     } while (r < 0 && errno == EINTR);
-    pid_ = -1;
+    forget_child();
 #endif
+  }
+
+  /// The child is reaped: its pid may be reused, and its pidfd is done.
+  void forget_child() {
+#if AXC_HAS_SUBPROCESS
+    if (exit_fd_ >= 0) ::close(exit_fd_);
+#endif
+    exit_fd_ = -1;
+    pid_ = -1;
   }
 
 #if AXC_HAS_SUBPROCESS
@@ -176,6 +205,7 @@ class subprocess {
 #else
   int pid_{-1};
 #endif
+  int exit_fd_{-1};
 };
 
 }  // namespace axc::support

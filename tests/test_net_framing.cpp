@@ -4,16 +4,23 @@
 // (never crash, never hang, never hand back damaged payload bytes), both
 // through the pure decode_frame() core and through read_frame() off a real
 // socketpair.  The accept loop's resilience to hostile clients rests on
-// exactly these properties.
+// exactly these properties.  Also: every socket is close-on-exec, so a
+// worker the daemon spawns never inherits its listener or connections.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "support/checksum.h"
 #include "support/net.h"
+#include "support/subprocess.h"
 
 #if AXC_HAS_NET
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -220,6 +227,77 @@ TEST(net_framing, garbage_then_valid_frame_on_fresh_connection) {
   const auto decoded = read_frame(fresh.fd[1], kMax);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, "still serving");
+}
+
+bool close_on_exec(int fd) {
+  const int flags = ::fcntl(fd, F_GETFD);
+  return flags >= 0 && (flags & FD_CLOEXEC) != 0;
+}
+
+/// "socket:[<inode>]" — how /proc names the socket behind an fd.
+std::string proc_fd_target(int fd) {
+  std::error_code ec;
+  return std::filesystem::read_symlink(
+             "/proc/self/fd/" + std::to_string(fd), ec)
+      .string();
+}
+
+TEST(net_framing, sockets_are_close_on_exec_and_never_reach_children) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("axc-net-cloexec-" + std::to_string(::getpid()));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  fs::create_directories(dir, ec);
+  auto listener = unix_listener::listen_at((dir / "sock").string());
+  ASSERT_TRUE(listener.has_value());
+  auto client = unix_stream::connect((dir / "sock").string());
+  ASSERT_TRUE(client.has_value());
+  auto accepted = listener->accept();
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_TRUE(close_on_exec(listener->fd()));
+  EXPECT_TRUE(close_on_exec(client->fd()));
+  EXPECT_TRUE(close_on_exec(accepted->fd()));
+
+  if (!fs::exists("/proc/self/fd")) GTEST_SKIP() << "no /proc/self/fd";
+  const std::vector<std::string> ours = {proc_fd_target(listener->fd()),
+                                         proc_fd_target(client->fd()),
+                                         proc_fd_target(accepted->fd())};
+  // A child spawned while all three are open lists every fd it holds.
+  const std::string listing = (dir / "child-fds").string();
+  auto child = subprocess::spawn(
+      {"/bin/sh", "-c",
+       // `|| :` — the glob's own directory fd is gone by the time it is
+       // read back.
+       "for f in /proc/$$/fd/*; do readlink \"$f\" || :; done > " + listing});
+  ASSERT_TRUE(child.has_value());
+  const auto status = child->wait();
+  ASSERT_TRUE(status.has_value() && status->success());
+  for (const std::string& target : ours) {
+    ASSERT_EQ(target.rfind("socket:", 0), 0u) << target;
+  }
+  // The child may hold only sockets this test process was itself handed
+  // without close-on-exec by whoever launched it — none of ours.
+  std::vector<std::string> inherited;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd", ec)) {
+    const int fd = std::stoi(entry.path().filename().string());
+    const std::string target = proc_fd_target(fd);
+    if (target.rfind("socket:", 0) == 0 && !close_on_exec(fd)) {
+      inherited.push_back(target);
+    }
+  }
+  std::ifstream is(listing);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(is, line)) {
+    ++lines;
+    if (line.rfind("socket:", 0) != 0) continue;
+    EXPECT_NE(std::find(inherited.begin(), inherited.end(), line),
+              inherited.end())
+        << "child holds socket " << line;
+  }
+  EXPECT_GT(lines, 0u);
+  fs::remove_all(dir, ec);
 }
 
 #endif  // AXC_HAS_NET

@@ -34,6 +34,10 @@
 #include "support/net.h"
 #include "support/subprocess.h"
 
+#if AXC_HAS_NET
+#include <fcntl.h>
+#endif
+
 namespace axc::core {
 namespace {
 
@@ -358,6 +362,66 @@ TEST(result_server, concurrent_identical_requests_share_one_sweep) {
   fs::remove_all(root, ec);
 }
 
+// ---- Settled jobs are released ------------------------------------------
+
+TEST(result_server, many_distinct_misses_each_wait_to_a_hit) {
+  if (!worker_binary()) GTEST_SKIP() << "AXC_WORKER_BIN not set";
+  const std::string root = fresh_dir("many-misses");
+  server_config config = local_config(root);
+  config.worker_binary = worker_binary();
+  result_server server(config);
+  ASSERT_TRUE(server.start());
+#if AXC_HAS_NET
+  EXPECT_NE(::fcntl(server.stop_write_fd(), F_GETFD) & FD_CLOEXEC, 0);
+#endif
+
+  // Each published job leaves the job table; its answer is the store's.
+  constexpr std::uint64_t kMisses = 20;
+  for (std::uint64_t i = 0; i < kMisses; ++i) {
+    const sweep_spec spec = serve_spec(300 + i);
+    serve_request wait = make_request("wait", spec);
+    wait.timeout_ms = 120000;
+    const serve_reply hit = ask(server, wait);
+    ASSERT_EQ(hit.status, "hit") << "miss " << i;
+    EXPECT_EQ(ask(server, make_request("status", spec)).status, "hit")
+        << "miss " << i;
+  }
+  const serve_stats stats = server.stats();
+  EXPECT_EQ(stats.misses_enqueued, kMisses);
+  EXPECT_EQ(stats.sweeps_completed, kMisses);
+  EXPECT_EQ(stats.sweeps_failed, 0u);
+
+  std::error_code ec;
+  fs::remove_all(root, ec);
+}
+
+TEST(result_server, failed_sweep_answers_failed_without_rerunning) {
+  const std::string root = fresh_dir("failed");
+  server_config config = local_config(root);
+  config.worker_binary = "/bin/false";  // every worker exits 1
+  config.max_attempts = 1;
+  result_server server(config);
+  ASSERT_TRUE(server.start());
+  const sweep_spec spec = serve_spec(320);
+
+  EXPECT_EQ(ask(server, make_request("get", spec)).status, "miss-enqueued");
+  serve_request wait = make_request("wait", spec);
+  wait.timeout_ms = 120000;
+  EXPECT_EQ(ask(server, wait).status, "failed");
+  // The failure is remembered (key + verdict only): retries answer it
+  // without a second sweep.
+  EXPECT_EQ(ask(server, make_request("get", spec)).status, "failed");
+  EXPECT_EQ(ask(server, wait).status, "failed");
+  EXPECT_EQ(ask(server, make_request("status", spec)).status, "failed");
+  const serve_stats stats = server.stats();
+  EXPECT_EQ(stats.sweeps_failed, 1u);
+  EXPECT_EQ(stats.sweeps_completed, 0u);
+  EXPECT_EQ(stats.misses_enqueued, 1u);
+
+  std::error_code ec;
+  fs::remove_all(root, ec);
+}
+
 // ---- Property (d): kill/restart convergence ------------------------------
 
 /// Blocks (with a hard deadline) until the child exits.
@@ -590,6 +654,15 @@ TEST(result_server, malformed_frames_never_wedge_the_accept_loop) {
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->status, "hit");
   EXPECT_EQ(*reply->payload, stored);
+  // Each connection has its own handler thread, so this reply can overtake
+  // the handlers still counting the earlier connections' damage: wait for
+  // the count instead of sampling it once.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().malformed < 4u &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   EXPECT_GE(server.stats().malformed, 4u);
 
   server.request_stop();

@@ -3,8 +3,10 @@
 // entries and every remaining lookup returns its exact pre-corruption
 // bytes — plus the degraded-open paths (index deleted, index records
 // damaged), put idempotence, gc of superseded objects, the injected
-// transient put failure, and the mid-index-append crash window (a gtest
-// death test around the store's _Exit(44) fault point).
+// transient put failure, the mid-index-append crash window (a gtest
+// death test around the store's _Exit(44) fault point), and refresh():
+// a long-lived reader following another instance's puts, gcs, scrubs and
+// torn appends must always see what a fresh open() sees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +23,7 @@
 
 #include "core/result_store.h"
 #include "support/fault.h"
+#include "support/rng.h"
 
 namespace axc::core {
 namespace {
@@ -358,6 +361,195 @@ TEST(result_store, injected_put_failure_leaves_previous_mapping_intact) {
   ASSERT_TRUE(reopened.has_value());
   EXPECT_EQ(reopened->get("session", "kk"), "good bytes");
   EXPECT_EQ(reopened->gc().objects_removed, 1u);
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+// ---- refresh(): incremental catch-up with the on-disk index -------------
+
+/// The reader's view must be exactly a fresh open()'s: same mappings to
+/// the same objects.
+void expect_same_entries(const result_store& reader,
+                         const std::string& root, const char* when) {
+  // refresh() never writes; open() may (salvage), so it goes second.
+  const auto fresh = result_store::open(root);
+  ASSERT_TRUE(fresh.has_value()) << when;
+  const std::vector<store_entry> got = reader.entries();
+  const std::vector<store_entry> want = fresh->entries();
+  ASSERT_EQ(got.size(), want.size()) << when;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << when << ", entry " << i;
+    EXPECT_EQ(got[i].key, want[i].key) << when << ", entry " << i;
+    EXPECT_EQ(got[i].hash, want[i].hash) << when << ", entry " << i;
+    EXPECT_EQ(got[i].size, want[i].size) << when << ", entry " << i;
+    EXPECT_EQ(got[i].payload_crc, want[i].payload_crc)
+        << when << ", entry " << i;
+  }
+}
+
+/// The index record a put of (kind, key, payload) appends — taken from a
+/// throwaway store, since records name objects by content, not by root.
+std::string index_record(const std::string& kind, const std::string& key,
+                         const std::string& payload) {
+  const std::string dir = fresh_store_dir("record");
+  auto throwaway = result_store::open(dir);
+  EXPECT_TRUE(throwaway->put(kind, key, payload).has_value());
+  const std::string index = read_bytes(fs::path(dir) / "index.axc");
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  const std::size_t start = index.rfind('\n', index.size() - 2) + 1;
+  return index.substr(start);
+}
+
+void append_bytes(const fs::path& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::app);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(result_store, refresh_matches_a_fresh_open_under_random_interleavings) {
+  const std::string dir = fresh_store_dir("refresh-prop");
+  auto writer = result_store::open(dir);
+  auto reader = result_store::open(dir);
+  ASSERT_TRUE(writer.has_value());
+  ASSERT_TRUE(reader.has_value());
+  const std::string kinds[] = {"front", "session", "table"};
+  rng gen(20260917);
+  std::size_t torn = 0;
+  std::size_t scrubbed = 0;
+  std::size_t collected = 0;
+  for (int step = 0; step < 160; ++step) {
+    const std::string kind = kinds[gen.below(3)];
+    // A small key space, so most puts overwrite a live mapping.
+    const std::string key = "k" + std::to_string(gen.below(6));
+    const std::string payload = "payload " + std::to_string(gen.below(1000));
+    const std::uint64_t op = gen.below(100);
+    if (op < 45) {
+      ASSERT_TRUE(writer->put(kind, key, payload).has_value());
+    } else if (op < 60) {
+      // The reader's own puts land in the journal it is following.
+      ASSERT_TRUE(reader->put(kind, key, payload).has_value());
+    } else if (op < 70) {
+      collected += writer->gc().objects_removed;
+    } else if (op < 80) {
+      // Rot one live object, then scrub: quarantine + index rewrite.
+      const auto live = writer->entries();
+      if (!live.empty()) {
+        const store_entry& victim = live[gen.below(live.size())];
+        corrupt_object(*writer, victim.kind, victim.key, 2);
+      }
+      scrubbed += writer->scrub().entries_dropped;
+    } else if (op < 90) {
+      // A publisher killed mid-append: half a record, no newline.
+      const std::string record = index_record(kind, key, payload);
+      append_bytes(fs::path(dir) / "index.axc",
+                   record.substr(0, 1 + gen.below(record.size() - 1)));
+      ++torn;
+    } else {
+      // A new writer process (its open() salvages any torn tail).
+      writer = result_store::open(dir);
+      ASSERT_TRUE(writer.has_value());
+    }
+    reader->refresh();
+    expect_same_entries(*reader, dir, ("step " + std::to_string(step)).c_str());
+    if (HasFailure()) break;
+  }
+  // The interleaving really exercised the rewrite and torn paths.
+  EXPECT_GT(torn, 0u);
+  EXPECT_GT(scrubbed, 0u);
+  EXPECT_GT(collected, 0u);
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(result_store, refresh_leaves_a_torn_tail_until_its_newline_lands) {
+  const std::string dir = fresh_store_dir("refresh-torn");
+  auto writer = result_store::open(dir);
+  auto reader = result_store::open(dir);
+  ASSERT_TRUE(writer->put("front", "aaaa", "first").has_value());
+  reader->refresh();
+  ASSERT_TRUE(reader->contains("front", "aaaa"));
+
+  const std::string record = index_record("front", "bbbb", "second");
+  const fs::path index = fs::path(dir) / "index.axc";
+  append_bytes(index, record.substr(0, record.size() / 2));
+  reader->refresh();
+  EXPECT_FALSE(reader->contains("front", "bbbb"));
+  EXPECT_EQ(reader->entries().size(), 1u);
+  // Still torn: another look changes nothing.
+  reader->refresh();
+  EXPECT_FALSE(reader->contains("front", "bbbb"));
+
+  append_bytes(index, record.substr(record.size() / 2));
+  reader->refresh();
+  EXPECT_TRUE(reader->contains("front", "bbbb"));
+  expect_same_entries(*reader, dir, "after the newline");
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(result_store, refresh_reloads_a_rewritten_index) {
+  // The rewrite is built to fool an offset-only reader: after the
+  // overwrite + gc, the compacted index has exactly the reader's consumed
+  // length and ends with the same last record, yet maps "aaaa" to a new
+  // object (the old one is deleted).  Only noticing the replaced file
+  // saves the reader.
+  const std::string dir = fresh_store_dir("refresh-rewrite");
+  auto writer = result_store::open(dir);
+  auto reader = result_store::open(dir);
+  ASSERT_TRUE(writer->put("front", "aaaa", "payload-1").has_value());
+  ASSERT_TRUE(writer->put("front", "bbbb", "payload-b").has_value());
+  reader->refresh();
+  ASSERT_EQ(reader->get("front", "aaaa"), "payload-1");
+  const auto consumed = fs::file_size(fs::path(dir) / "index.axc");
+
+  ASSERT_TRUE(writer->put("front", "aaaa", "payload-2").has_value());
+  ASSERT_EQ(writer->gc().objects_removed, 1u);
+  ASSERT_EQ(fs::file_size(fs::path(dir) / "index.axc"), consumed);
+
+  reader->refresh();
+  EXPECT_EQ(reader->get("front", "aaaa"), "payload-2");
+  expect_same_entries(*reader, dir, "after gc");
+
+  // Shrunk in place (not renamed): also a full reload.
+  const fs::path index = fs::path(dir) / "index.axc";
+  fs::resize_file(index, read_bytes(index).find('\n') + 1);
+  reader->refresh();
+  EXPECT_TRUE(reader->entries().empty());
+  expect_same_entries(*reader, dir, "after truncation");
+
+  // Truncated in place and regrown past the reader's offset before it
+  // looks again: only the re-checked last record shows the bytes changed.
+  ASSERT_TRUE(writer->put("front", "cccc", "payload-c").has_value());
+  reader->refresh();
+  fs::resize_file(index, read_bytes(index).find('\n') + 1);
+  for (const char* key : {"dddd", "eeee", "ffff"}) {
+    ASSERT_TRUE(writer->put("front", key, "payload-x").has_value());
+  }
+  reader->refresh();
+  EXPECT_FALSE(reader->contains("front", "cccc"));
+  expect_same_entries(*reader, dir, "after an in-place rewrite");
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(result_store, refresh_reapplies_the_readers_own_puts_idempotently) {
+  const std::string dir = fresh_store_dir("refresh-own");
+  auto writer = result_store::open(dir);
+  auto reader = result_store::open(dir);
+  ASSERT_TRUE(reader->put("front", "mine", "own bytes").has_value());
+  ASSERT_TRUE(writer->put("front", "theirs", "their bytes").has_value());
+  ASSERT_TRUE(reader->put("front", "mine", "own bytes v2").has_value());
+  reader->refresh();
+  reader->refresh();
+  const auto entries = reader->entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(reader->get("front", "mine"), "own bytes v2");
+  EXPECT_EQ(reader->get("front", "theirs"), "their bytes");
+  expect_same_entries(*reader, dir, "after own puts");
 
   std::error_code ec;
   fs::remove_all(dir, ec);

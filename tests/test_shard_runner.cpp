@@ -23,6 +23,7 @@
 #include "dist/pmf.h"
 #include "mult/adders.h"
 #include "mult/multipliers.h"
+#include "support/subprocess.h"
 
 namespace axc::core {
 namespace {
@@ -450,6 +451,35 @@ TEST(shard_runner, stalled_worker_is_killed_and_retried) {
   ASSERT_GE(sharded.shards.size(), 2u);
   EXPECT_TRUE(sharded.shards[1].timed_out);
   EXPECT_GE(sharded.shards[1].attempts, 2u);
+  ASSERT_TRUE(sharded.complete);
+  expect_same_result(sharded, reference);
+
+  std::error_code ec;
+  std::filesystem::remove_all(config.work_dir, ec);
+}
+
+TEST(shard_runner, worker_exit_wakes_supervision_before_the_poll_interval) {
+  const char* worker = worker_binary();
+  if (!worker) GTEST_SKIP() << "AXC_WORKER_BIN not set";
+  {
+    auto probe = support::subprocess::spawn({"/bin/sh", "-c", "exit 0"});
+    ASSERT_TRUE(probe.has_value());
+    if (probe->exit_fd() < 0) GTEST_SKIP() << "kernel without pidfd support";
+  }
+  const sweep_spec spec = mult_spec_small();
+  const sweep_result reference = run_sweep_inprocess(spec);
+
+  // With a 5 s tick, a sweep that waited for ticks would take >= 5 s; one
+  // woken by its workers' exits takes about as long as the workers do.
+  shard_runner_config config;
+  config.shards = 2;
+  config.poll_interval = std::chrono::seconds(5);
+  config.work_dir = fresh_work_dir("wake");
+  config.worker_binary = worker;
+  const auto start = std::chrono::steady_clock::now();
+  const sweep_result sharded = run_sweep(spec, config);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(2500));
   ASSERT_TRUE(sharded.complete);
   expect_same_result(sharded, reference);
 

@@ -2,10 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "support/rng.h"
+#include "support/subprocess.h"
+
+#if AXC_HAS_SUBPROCESS
+#include <fcntl.h>
+#include <poll.h>
+#endif
 
 namespace axc {
 namespace {
@@ -135,6 +144,88 @@ TEST(rng, chance_probability) {
   for (int i = 0; i < kDraws; ++i) hits += gen.chance(0.25) ? 1 : 0;
   EXPECT_NEAR(hits, kDraws * 0.25, kDraws * 0.02);
 }
+
+#if AXC_HAS_SUBPROCESS
+
+/// True when `fd` is readable within `ms`.
+bool readable_within(int fd, int ms) {
+  ::pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, ms) == 1 && (p.revents & POLLIN) != 0;
+}
+
+std::optional<support::subprocess> spawn_sh(const std::string& script) {
+  return support::subprocess::spawn({"/bin/sh", "-c", script});
+}
+
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(subprocess, exit_fd_turns_readable_on_exit_and_closes_on_reap) {
+  auto child = spawn_sh("sleep 0.2; exit 3");
+  ASSERT_TRUE(child.has_value());
+  const int fd = child->exit_fd();
+  if (fd < 0) GTEST_SKIP() << "kernel without pidfd support";
+  EXPECT_NE(::fcntl(fd, F_GETFD) & FD_CLOEXEC, 0);
+  EXPECT_FALSE(readable_within(fd, 0)) << "readable while still running";
+  ASSERT_TRUE(readable_within(fd, 10000)) << "exit never signalled";
+  const auto status = child->poll();
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->code, 3);
+  EXPECT_EQ(child->exit_fd(), -1);
+  EXPECT_EQ(::fcntl(fd, F_GETFD), -1) << "pidfd left open after reap";
+}
+
+TEST(subprocess, moved_from_handle_holds_no_exit_fd) {
+  auto child = spawn_sh("exit 0");
+  ASSERT_TRUE(child.has_value());
+  const int fd = child->exit_fd();
+  support::subprocess moved = std::move(*child);
+  EXPECT_EQ(child->exit_fd(), -1);
+  EXPECT_FALSE(child->running());
+  EXPECT_EQ(moved.exit_fd(), fd);
+  support::subprocess assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(moved.exit_fd(), -1);
+  EXPECT_EQ(assigned.exit_fd(), fd);
+  const auto status = assigned.wait();
+  ASSERT_TRUE(status.has_value());
+  EXPECT_TRUE(status->success());
+  EXPECT_EQ(assigned.exit_fd(), -1);
+}
+
+TEST(subprocess, spawning_leaks_no_descriptors) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd";
+  }
+  const std::size_t before = open_fd_count();
+  for (int i = 0; i < 200; ++i) {
+    auto child = spawn_sh("exit 0");
+    ASSERT_TRUE(child.has_value());
+    switch (i % 3) {
+      case 0:  // blocking reap
+        ASSERT_TRUE(child->wait().has_value());
+        break;
+      case 1:  // wake on the exit fd, then the non-blocking reap
+        if (child->exit_fd() >= 0) {
+          ASSERT_TRUE(readable_within(child->exit_fd(), 10000));
+        }
+        while (!child->poll()) {
+        }
+        break;
+      default:  // the destructor kills and reaps
+        break;
+    }
+  }
+  EXPECT_EQ(open_fd_count(), before);
+}
+
+#endif  // AXC_HAS_SUBPROCESS
 
 }  // namespace
 }  // namespace axc
