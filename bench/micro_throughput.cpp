@@ -849,6 +849,39 @@ void bm_server_encode(benchmark::State& state) {
 }
 BENCHMARK(bm_server_encode);
 
+void bm_parse_request(benchmark::State& state) {
+  // Server-side decode of the hit request bm_server_hit sends (the mult8
+  // spec: 256 %.17g masses and the exact multiplier's netlist), the part
+  // of handle_request that runs before the store lookup.
+  core::serve_request request;
+  request.spec = server_bench_spec();
+  const std::string text = core::encode_request(request);
+  for (auto _ : state) {
+    auto parsed = core::parse_request(text);
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.counters["bytes"] = static_cast<double>(text.size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(bm_parse_request);
+
+void bm_crc32(benchmark::State& state) {
+  // One frame's payload CRC over N random bytes, which the client pays on
+  // encode and the server on decode.  11461 bytes is about the size of a
+  // hit request for a mult8 spec with the 14 default targets (what the
+  // perfbench serve_mixed hit client sends).
+  std::string bytes(static_cast<std::size_t>(state.range(0)), '\0');
+  rng gen(19);
+  for (char& c : bytes) c = static_cast<char>(gen.below(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(bm_crc32)->Arg(11461);
+
 void bm_compiled_table_fill(benchmark::State& state) {
   // Exhaustive characterization through the wide-lane batch path (what the
   // compiled_table constructor runs when the deployment pipeline compiles a

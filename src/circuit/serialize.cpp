@@ -4,16 +4,17 @@
 #include <ostream>
 #include <sstream>
 
+#include "support/tokens.h"
+
 namespace axc::circuit {
 
 namespace {
 constexpr std::string_view kMagic = "axcirc-netlist v1";
-/// Interface-size ceiling for parsed netlists.  Stream extraction into
-/// size_t follows strtoull semantics, so "inputs -2" would otherwise wrap
-/// to ~2^64 and the netlist constructor would attempt that allocation;
-/// checkpoint salvage feeds arbitrary corrupted bytes through this parser,
-/// which must fail cleanly instead.  Generous: real components are
-/// 2*width inputs wide.
+/// Interface-size ceiling for parsed netlists.  Checkpoint salvage feeds
+/// arbitrary corrupted bytes through this parser, and "inputs 99999999999"
+/// would otherwise make the netlist constructor attempt that allocation;
+/// it must fail cleanly instead.  Generous: real components are 2*width
+/// inputs wide.
 constexpr std::size_t kMaxInterface = 1u << 20;
 }
 
@@ -42,31 +43,31 @@ std::optional<netlist> read_netlist(std::istream& is) {
 
   std::size_t inputs = 0, outputs = 0;
   {
-    std::string key;
+    std::string_view key;
     if (!std::getline(is, line)) return std::nullopt;
-    std::istringstream ls(line);
+    support::token_reader ls(line);
     if (!(ls >> key >> inputs) || key != "inputs" || inputs == 0 ||
-        inputs > kMaxInterface) {
+        inputs > kMaxInterface || !ls.at_end()) {
       return std::nullopt;
     }
   }
   {
-    std::string key;
+    std::string_view key;
     if (!std::getline(is, line)) return std::nullopt;
-    std::istringstream ls(line);
+    support::token_reader ls(line);
     if (!(ls >> key >> outputs) || key != "outputs" || outputs == 0 ||
-        outputs > kMaxInterface) {
+        outputs > kMaxInterface || !ls.at_end()) {
       return std::nullopt;
     }
   }
 
   netlist nl(inputs, outputs);
   while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key)) continue;  // blank line
+    support::token_reader ls(line);
+    const std::string_view key = ls.next();
+    if (key.empty()) continue;  // blank line
     if (key == "gate") {
-      std::string fn_name;
+      std::string_view fn_name;
       std::uint32_t in0 = 0, in1 = 0;
       if (!(ls >> fn_name >> in0 >> in1)) return std::nullopt;
       const auto fn = gate_fn_from_name(fn_name);
@@ -74,8 +75,7 @@ std::optional<netlist> read_netlist(std::istream& is) {
       if (in0 >= nl.num_signals() || in1 >= nl.num_signals()) {
         return std::nullopt;
       }
-      std::string extra;
-      if (ls >> extra) return std::nullopt;  // trailing junk
+      if (!ls.at_end()) return std::nullopt;  // trailing junk
       nl.add_gate(*fn, in0, in1);
     } else if (key == "out") {
       for (std::size_t o = 0; o < outputs; ++o) {
@@ -85,8 +85,7 @@ std::optional<netlist> read_netlist(std::istream& is) {
         }
         nl.set_output(o, address);
       }
-      std::string extra;
-      if (ls >> extra) return std::nullopt;  // trailing junk
+      if (!ls.at_end()) return std::nullopt;  // trailing junk
       return nl;  // "out" terminates the record
     } else {
       return std::nullopt;

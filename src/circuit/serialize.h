@@ -23,7 +23,11 @@ namespace axc::circuit {
 void write_netlist(std::ostream& os, const netlist& nl);
 
 /// Returns std::nullopt on malformed input (wrong magic, bad addresses,
-/// unknown gate names, truncated stream).
+/// unknown gate names, truncated stream).  Lines are read with
+/// std::getline and split by support::token_reader: counts and addresses
+/// are unsigned decimal tokens (a sign or a glued suffix is damage), and a
+/// line with tokens after its last field is damage.  Blank lines between
+/// gates are skipped; the stream is left just past the `out` line.
 std::optional<netlist> read_netlist(std::istream& is);
 
 std::string to_text(const netlist& nl);

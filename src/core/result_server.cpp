@@ -11,6 +11,7 @@
 #include "support/checksum.h"
 #include "support/fault.h"
 #include "support/io.h"
+#include "support/tokens.h"
 
 #if AXC_HAS_NET
 #include <fcntl.h>
@@ -96,9 +97,8 @@ std::optional<serve_request> parse_request(std::string_view text) {
       request.spec = *std::move(spec);
       return request;
     }
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag)) return std::nullopt;
+    support::token_reader ls(line);
+    const std::string_view tag = ls.next();
     if (tag == "verb") {
       if (!(ls >> request.verb)) return std::nullopt;
       if (request.verb != "get" && request.verb != "status" &&
@@ -117,6 +117,7 @@ std::optional<serve_request> parse_request(std::string_view text) {
     } else {
       return std::nullopt;  // strict: unknown header lines are damage
     }
+    if (!ls.at_end()) return std::nullopt;
   }
   return std::nullopt;  // never reached the spec section
 }
@@ -149,24 +150,26 @@ std::optional<serve_reply> parse_reply(std::string_view text) {
   serve_reply reply;
   {
     if (!std::getline(is, line)) return std::nullopt;
-    std::istringstream ls(line);
-    std::string tag;
+    support::token_reader ls(line);
+    std::string_view tag;
     if (!(ls >> tag >> reply.status) || tag != "status" ||
-        !known_status(reply.status)) {
+        !known_status(reply.status) || !ls.at_end()) {
       return std::nullopt;
     }
   }
   while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag)) return std::nullopt;
+    support::token_reader ls(line);
+    const std::string_view tag = ls.next();
     if (tag == "key") {
-      if (!(ls >> reply.key)) return std::nullopt;
+      if (!(ls >> reply.key) || !ls.at_end()) return std::nullopt;
     } else if (tag == "end") {
+      if (!ls.at_end()) return std::nullopt;
       return reply;
     } else if (tag == "payload") {
       std::size_t size = 0;
-      if (!(ls >> size)) return std::nullopt;
+      if (!(ls >> size) || !ls.at_end() || size > text.size()) {
+        return std::nullopt;
+      }
       std::string payload(size, '\0');
       is.read(payload.data(), static_cast<std::streamsize>(size));
       if (static_cast<std::size_t>(is.gcount()) != size) return std::nullopt;

@@ -21,6 +21,7 @@
 #include "support/io.h"
 #include "support/launcher.h"
 #include "support/subprocess.h"
+#include "support/tokens.h"
 
 #if AXC_HAS_SUBPROCESS
 #include <poll.h>
@@ -35,6 +36,15 @@ constexpr std::string_view kSpecMagic = "axc-sweep-spec v2";
 /// and the compiled tables (2^(2w) entries) support.
 constexpr unsigned kMinSpecWidth = 3;
 constexpr unsigned kMaxSpecWidth = 12;
+/// Ceilings on the spec's counts.  Far above any real search (defaults:
+/// 20000 iterations, 64 extra columns, 5 mutations, lambda 4, one run per
+/// target), low enough that a damaged or hostile spec cannot ask a worker
+/// for 2^64 generations or jobs.
+constexpr std::size_t kMaxSpecIterations = std::size_t{1} << 30;
+constexpr std::size_t kMaxSpecExtraColumns = std::size_t{1} << 16;
+constexpr unsigned kMaxSpecMutations = 1u << 16;
+constexpr std::size_t kMaxSpecLambda = std::size_t{1} << 10;
+constexpr std::size_t kMaxSpecRunsPerTarget = std::size_t{1} << 16;
 constexpr std::string_view kJournalMagic = "coord v1";
 
 /// Coordinator crash points _Exit with 43 (44 is the store's mid-append
@@ -343,8 +353,22 @@ std::string sweep_spec::validate() const {
   if (options.width < kMinSpecWidth || options.width > kMaxSpecWidth) {
     return "width out of range";
   }
-  if (options.lambda == 0) return "lambda must be positive";
-  if (options.max_mutations == 0) return "max-mutations must be positive";
+  if (options.iterations > kMaxSpecIterations) {
+    return "iterations above 2^30";
+  }
+  if (options.extra_columns > kMaxSpecExtraColumns) {
+    return "extra-columns above 2^16";
+  }
+  if (options.max_mutations == 0 ||
+      options.max_mutations > kMaxSpecMutations) {
+    return "max-mutations outside 1..2^16";
+  }
+  if (options.lambda == 0 || options.lambda > kMaxSpecLambda) {
+    return "lambda outside 1..2^10";
+  }
+  if (plan.runs_per_target > kMaxSpecRunsPerTarget) {
+    return "runs-per-target above 2^16";
+  }
   for (const double target : plan.targets) {
     if (!std::isfinite(target) || target < 0.0 || target > 1.0) {
       return "target outside [0, 1]";
@@ -379,11 +403,25 @@ std::optional<sweep_spec> sweep_spec::parse(std::istream& is) {
   }
 
   sweep_spec spec;
-  const auto read_field = [&is, &line](const char* key, auto& value) {
+  const auto read_field = [&is, &line](std::string_view key, auto& value) {
     if (!std::getline(is, line)) return false;
-    std::istringstream ls(line);
-    std::string k;
-    return static_cast<bool>(ls >> k >> value) && k == key;
+    support::token_reader ls(line);
+    std::string_view k;
+    return ls >> k >> value && k == key && ls.at_end();
+  };
+  // `<key> <count> <count doubles>`, nothing after.
+  const auto read_doubles = [&is, &line](std::string_view key,
+                                         std::vector<double>& values) {
+    if (!std::getline(is, line)) return false;
+    support::token_reader ls(line);
+    std::string_view k;
+    std::size_t count = 0;
+    if (!(ls >> k >> count) || k != key || count > (1u << 24)) return false;
+    values.resize(count);
+    for (double& value : values) {
+      if (!(ls >> value)) return false;
+    }
+    return ls.at_end();
   };
 
   int flag = 0;
@@ -420,46 +458,31 @@ std::optional<sweep_spec> sweep_spec::parse(std::istream& is) {
   }
 
   {
-    if (!std::getline(is, line)) return spec_error("missing distribution");
-    std::istringstream ls(line);
-    std::string k;
-    std::size_t count = 0;
-    if (!(ls >> k >> count) || k != "distribution" || count > (1u << 24)) {
+    std::vector<double> masses;
+    if (!read_doubles("distribution", masses)) {
       return spec_error("bad distribution line");
     }
-    std::vector<double> masses(count);
     double total = 0.0;
-    for (double& mass : masses) {
-      if (!(ls >> mass)) return spec_error("truncated distribution line");
-      if (!std::isfinite(mass) || mass < 0.0) {
-        return spec_error("bad distribution mass");
-      }
+    for (const double mass : masses) {
+      if (mass < 0.0) return spec_error("bad distribution mass");
       total += mass;
     }
-    if (count > 0 && !(total > 0.0)) {
+    if (!masses.empty() && !(total > 0.0)) {
       return spec_error("distribution has no mass");
     }
     // from_masses, not from_weights: the renormalizing division is not
     // bit-stable across a text round trip, and the distribution feeds the
     // component fingerprint — a worker must rebuild the coordinator's pmf
     // exactly or its checkpoints would be rejected at merge time.
-    if (count > 0) spec.options.distribution = dist::pmf::from_masses(masses);
+    if (!masses.empty()) {
+      spec.options.distribution = dist::pmf::from_masses(masses);
+    }
   }
   if (!read_field("runs-per-target", spec.plan.runs_per_target)) {
     return spec_error("missing runs-per-target line");
   }
-  {
-    if (!std::getline(is, line)) return spec_error("missing targets line");
-    std::istringstream ls(line);
-    std::string k;
-    std::size_t count = 0;
-    if (!(ls >> k >> count) || k != "targets" || count > (1u << 24)) {
-      return spec_error("bad targets line");
-    }
-    spec.plan.targets.resize(count);
-    for (double& target : spec.plan.targets) {
-      if (!(ls >> target)) return spec_error("truncated targets line");
-    }
+  if (!read_doubles("targets", spec.plan.targets)) {
+    return spec_error("bad targets line");
   }
   spec.options.runs_per_target = spec.plan.runs_per_target;
 

@@ -107,17 +107,22 @@ struct sweep_spec {
   /// Registry lookup; empty handle when `component` is unknown.
   [[nodiscard]] component_handle make_component() const;
 
-  /// Range checks on top of the syntax: width in 3..12, positive lambda and
-  /// max-mutations, finite targets in [0, 1], an empty or 2^width-entry
-  /// distribution, and a seed netlist shaped like the component (when the
-  /// registry knows it).  Empty when the spec is usable, else the problem.
-  /// make_component() and store_key() are safe on any spec that passes.
+  /// Range checks on top of the syntax: width in 3..12, iterations at
+  /// most 2^30, extra-columns at most 2^16, max-mutations in 1..2^16,
+  /// lambda in 1..2^10, runs-per-target at most 2^16, finite targets in
+  /// [0, 1], an empty or 2^width-entry distribution, and a seed netlist
+  /// shaped like the component (when the registry knows it).  Empty when
+  /// the spec is usable, else the problem.  make_component() and
+  /// store_key() are safe on any spec that passes.
   [[nodiscard]] std::string validate() const;
 
   /// "axc-sweep-spec v2": strict text format (doubles as %.17g, netlist in
   /// the circuit::write_netlist format, `end` terminator).  Spec files are
   /// coordinator-written scratch, so read() is strict — any damage, or a
-  /// spec validate() rejects, returns nullopt.
+  /// spec validate() rejects, returns nullopt.  Each line is split by
+  /// support::token_reader (token grammar in src/core/README.md): counts
+  /// are unsigned decimal, doubles finite decimal, and a line with tokens
+  /// after its last field is damage.
   void write(std::ostream& os) const;
   [[nodiscard]] bool write_file(const std::string& path) const;
   [[nodiscard]] static std::optional<sweep_spec> read(std::istream& is);

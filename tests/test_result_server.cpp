@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -231,6 +232,37 @@ TEST(result_server, out_of_range_spec_gets_error_and_server_keeps_serving) {
   ASSERT_TRUE(reply.payload.has_value());
   EXPECT_EQ(*reply.payload, stored);
 
+  std::error_code ec;
+  fs::remove_all(root, ec);
+}
+
+TEST(result_server, absurd_count_fields_are_refused_before_enqueue) {
+  // A server that can sweep (a worker path is configured) must still never
+  // enqueue a spec whose count field is out of range: "-1" is damage
+  // (`malformed`), the 2^64 - 1 it used to wrap to fails validate()
+  // (`error`).  Either way nothing reaches the miss path.
+  const std::string root = fresh_dir("absurd-counts");
+  server_config config = local_config(root);
+  config.worker_binary =
+      worker_binary() ? worker_binary() : root + "/no-such-worker";
+  result_server server(config);
+  ASSERT_TRUE(server.start());
+  for (const char* key :
+       {"iterations", "runs-per-target", "extra-columns", "lambda"}) {
+    std::string text = encode_request(make_request("get", serve_spec(113)));
+    const std::size_t begin =
+        text.find("\n" + std::string(key) + " ") + std::strlen(key) + 2;
+    const std::size_t end = text.find('\n', begin);
+    for (const char* value : {"-1", "18446744073709551615"}) {
+      const std::string request =
+          std::string(text).replace(begin, end - begin, value);
+      const auto reply = parse_reply(server.handle_request(request));
+      ASSERT_TRUE(reply.has_value());
+      EXPECT_TRUE(reply->status == "malformed" || reply->status == "error")
+          << key << " " << value << ": " << reply->status;
+    }
+  }
+  EXPECT_EQ(server.stats().misses_enqueued, 0u);
   std::error_code ec;
   fs::remove_all(root, ec);
 }

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -339,6 +340,86 @@ TEST(sweep_spec, read_rejects_out_of_range_values) {
   sweep_spec adder_seed = mult_spec_small();
   adder_seed.seed = mult::ripple_adder(4);
   EXPECT_FALSE(reads_back(adder_seed));
+}
+
+/// `spec` serialized, with the value on its `<key> ...` line replaced by
+/// `value` verbatim.
+std::string with_field(const sweep_spec& spec, const std::string& key,
+                       const std::string& value) {
+  std::ostringstream os;
+  spec.write(os);
+  std::string text = os.str();
+  const std::size_t begin = text.find("\n" + key + " ") + key.size() + 2;
+  const std::size_t end = text.find('\n', begin);
+  return text.replace(begin, end - begin, value);
+}
+
+TEST(sweep_spec, count_fields_have_ceilings_and_take_no_sign) {
+  // Each count field at its documented ceiling reads back; one past it
+  // fails validate(); "-1" (which stream extraction wrapped to 2^64 - 1,
+  // so `runs-per-target -1` once asked for 2^64 - 1 jobs) fails the syntax.
+  struct field {
+    const char* key;
+    std::uint64_t ceiling;
+    void (*set)(sweep_spec&, std::uint64_t);
+  };
+  const field fields[] = {
+      {"iterations", std::uint64_t{1} << 30,
+       [](sweep_spec& s, std::uint64_t v) { s.options.iterations = v; }},
+      {"extra-columns", std::uint64_t{1} << 16,
+       [](sweep_spec& s, std::uint64_t v) { s.options.extra_columns = v; }},
+      {"max-mutations", std::uint64_t{1} << 16,
+       [](sweep_spec& s, std::uint64_t v) {
+         s.options.max_mutations = static_cast<unsigned>(v);
+       }},
+      {"lambda", std::uint64_t{1} << 10,
+       [](sweep_spec& s, std::uint64_t v) { s.options.lambda = v; }},
+      {"runs-per-target", std::uint64_t{1} << 16,
+       [](sweep_spec& s, std::uint64_t v) {
+         s.plan.runs_per_target = v;
+         s.options.runs_per_target = v;
+       }},
+  };
+  for (const field& f : fields) {
+    sweep_spec at = mult_spec_small();
+    f.set(at, f.ceiling);
+    EXPECT_TRUE(at.validate().empty()) << f.key;
+    EXPECT_TRUE(reads_back(at)) << f.key;
+
+    sweep_spec above = mult_spec_small();
+    f.set(above, f.ceiling + 1);
+    EXPECT_FALSE(above.validate().empty()) << f.key;
+    EXPECT_FALSE(reads_back(above)) << f.key;
+
+    sweep_spec wrapped = mult_spec_small();
+    f.set(wrapped, std::numeric_limits<std::uint64_t>::max());
+    EXPECT_FALSE(wrapped.validate().empty()) << f.key;
+
+    for (const char* signed_value : {"-1", "+1"}) {
+      std::istringstream is(with_field(mult_spec_small(), f.key, signed_value));
+      EXPECT_FALSE(sweep_spec::parse(is).has_value())
+          << f.key << " " << signed_value;
+    }
+    std::istringstream one(with_field(mult_spec_small(), f.key, "1"));
+    EXPECT_TRUE(sweep_spec::read(one).has_value()) << f.key;
+  }
+}
+
+TEST(sweep_spec, parse_rejects_trailing_and_glued_tokens) {
+  const sweep_spec spec = mult_spec_small();
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"width", "4 4"},
+           {"width", "4x"},
+           {"rng-seed", "13 junk"},
+           {"component", "mult extra"},
+           {"targets", "2 0.002 0.02 0.5"},
+           {"targets", "2 0.002 0x1p3"},
+           {"targets", "2 0.002 inf"},
+       }) {
+    std::istringstream is(with_field(spec, key, value));
+    EXPECT_FALSE(sweep_spec::parse(is).has_value()) << key << " " << value;
+  }
 }
 
 TEST(sweep_spec, read_rejects_unusable_distribution_masses) {

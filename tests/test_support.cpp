@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <filesystem>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "support/checksum.h"
 #include "support/rng.h"
 #include "support/subprocess.h"
+#include "support/tokens.h"
 
 #if AXC_HAS_SUBPROCESS
 #include <fcntl.h>
@@ -143,6 +150,211 @@ TEST(rng, chance_probability) {
   constexpr int kDraws = 50000;
   for (int i = 0; i < kDraws; ++i) hits += gen.chance(0.25) ? 1 : 0;
   EXPECT_NEAR(hits, kDraws * 0.25, kDraws * 0.02);
+}
+
+/// The bytewise CRC-32 loop crc32() replaced: one table lookup per byte,
+/// table built at run time.  The oracle for the slicing-by-8 version.
+std::uint32_t crc32_bytewise(std::string_view bytes, std::uint32_t seed = 0) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t n = 0; n < 256; ++n) {
+      std::uint32_t c = n;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[n] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(crc32, known_answers) {
+  EXPECT_EQ(support::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(support::crc32(""), 0u);
+  EXPECT_EQ(support::crc32("a"), 0xE8B7BE43u);
+  EXPECT_EQ(support::crc32("The quick brown fox jumps over the lazy dog"),
+            0x414FA339u);
+}
+
+TEST(crc32, slicing_by_8_matches_the_bytewise_loop) {
+  // Random bytes at every length 0..300, read at offsets 0..7 of one buffer
+  // so the 8-byte steps start at every alignment, with random seeds.
+  rng gen(0xC3C);
+  std::string buffer(320, '\0');
+  for (char& c : buffer) c = static_cast<char>(gen.below(256));
+  for (std::size_t length = 0; length <= 300; ++length) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::string_view bytes(buffer.data() + offset, length);
+      ASSERT_EQ(support::crc32(bytes), crc32_bytewise(bytes))
+          << "length " << length << " offset " << offset;
+      const auto seed = static_cast<std::uint32_t>(gen());
+      ASSERT_EQ(support::crc32(bytes, seed), crc32_bytewise(bytes, seed))
+          << "length " << length << " offset " << offset;
+    }
+  }
+}
+
+TEST(crc32, seed_chains_partial_updates_at_any_split) {
+  rng gen(0x5EED);
+  for (int round = 0; round < 200; ++round) {
+    std::string bytes(gen.below(300), '\0');
+    for (char& c : bytes) c = static_cast<char>(gen.below(256));
+    const std::size_t cut = bytes.empty() ? 0 : gen.below(bytes.size() + 1);
+    const std::string_view all(bytes);
+    const std::uint32_t whole = support::crc32(all);
+    EXPECT_EQ(support::crc32(all.substr(cut),
+                             support::crc32(all.substr(0, cut))),
+              whole)
+        << "size " << bytes.size() << " cut " << cut;
+    EXPECT_EQ(whole, crc32_bytewise(all));
+  }
+}
+
+TEST(token_reader, splits_on_c_locale_whitespace) {
+  support::token_reader r(" \tgate\vand\f 3\r\n12  ");
+  EXPECT_EQ(r.next(), "gate");
+  EXPECT_EQ(r.next(), "and");
+  EXPECT_FALSE(r.at_end());
+  std::uint32_t a = 0, b = 0;
+  EXPECT_TRUE(r >> a >> b);
+  EXPECT_EQ(a, 3u);
+  EXPECT_EQ(b, 12u);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(r.next(), "");
+  std::string missing = "kept";
+  EXPECT_FALSE(r >> missing);  // exhausted line fails like a stream
+  EXPECT_EQ(missing, "kept");
+}
+
+/// One extraction of a T from `token`; nullopt when the reader fails.
+template <typename T>
+std::optional<T> read_one(std::string_view token) {
+  support::token_reader r(token);
+  T value{};
+  if (!(r >> value)) return std::nullopt;
+  return value;
+}
+
+TEST(token_reader, integers_are_whole_decimal_tokens) {
+  EXPECT_EQ(read_one<std::size_t>("0"), 0u);
+  EXPECT_EQ(read_one<std::size_t>("007"), 7u);
+  EXPECT_EQ(read_one<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(read_one<std::uint64_t>("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(read_one<unsigned>("4294967296"), std::nullopt);
+  // Unsigned fields take no sign at all: "-1" used to wrap to 2^64 - 1.
+  EXPECT_EQ(read_one<std::size_t>("-1"), std::nullopt);
+  EXPECT_EQ(read_one<std::size_t>("+1"), std::nullopt);
+  EXPECT_EQ(read_one<std::size_t>("-0"), std::nullopt);
+  // Signed fields take a leading '-', never '+'.
+  EXPECT_EQ(read_one<int>("-1"), -1);
+  EXPECT_EQ(read_one<std::int64_t>("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(read_one<int>("+1"), std::nullopt);
+  EXPECT_EQ(read_one<int>("2147483648"), std::nullopt);
+  // The whole token: no glued suffix, no hex, no decimal point.
+  for (const char* bad : {"12abc", "0x10", "1.0", "1e3", "1-2", "-", ""}) {
+    EXPECT_EQ(read_one<std::size_t>(bad), std::nullopt) << bad;
+    EXPECT_EQ(read_one<int>(bad), std::nullopt) << bad;
+  }
+}
+
+TEST(token_reader, doubles_are_finite_decimal_tokens) {
+  EXPECT_EQ(read_one<double>("0.1"), 0.1);
+  EXPECT_EQ(read_one<double>("+2.5"), 2.5);
+  EXPECT_EQ(read_one<double>("-.5"), -0.5);
+  EXPECT_EQ(read_one<double>("5."), 5.0);
+  EXPECT_EQ(read_one<double>("1E3"), 1000.0);
+  EXPECT_EQ(read_one<double>("4.9406564584124654e-324"), 5e-324);
+  EXPECT_EQ(read_one<double>("1.7976931348623157e+308"),
+            std::numeric_limits<double>::max());
+  // Underflow rounds the way strtod rounds it (the stream extractor did
+  // the same); overflow is not finite and fails.
+  EXPECT_EQ(read_one<double>("1e-400"), 0.0);
+  EXPECT_EQ(read_one<double>("1e400"), std::nullopt);
+  for (const char* bad :
+       {"inf", "-inf", "+inf", "nan", "NaN", "infinity", "0x1p3", "0X1P3",
+        "1.5abc", "1e", "1e+", ".", "-", "+", "--1", "+-1", "-+1", "++1",
+        "1.5.3", "1e5e5", "1,5", ""}) {
+    EXPECT_EQ(read_one<double>(bad), std::nullopt) << bad;
+  }
+  // %.17g never writes more than 24 characters; past kMaxDoubleToken the
+  // token is damage even when it is a valid number.
+  const std::string longest =
+      "0." + std::string(support::token_reader::kMaxDoubleToken - 3, '0') +
+      "1";
+  ASSERT_EQ(longest.size(), support::token_reader::kMaxDoubleToken);
+  EXPECT_TRUE(read_one<double>(longest).has_value());
+  EXPECT_EQ(read_one<double>(longest + "0"), std::nullopt);
+}
+
+TEST(token_reader, doubles_get_strtods_bits) {
+  // A double token reads exactly when strtod reads all of it to a finite
+  // value, and to strtod's bits (the stream extractor's routine): %.17g of
+  // random finite bit patterns (what the writers emit), the same at random
+  // precision, and random decimal strings with long mantissas and
+  // exponents past both ends of the range (underflow, overflow, subnormal
+  // rounding).  Guards any change of converter.
+  rng gen(0xD0B1E);
+  char text[96];
+  for (int i = 0; i < 300000; ++i) {
+    std::uint64_t bits = gen();
+    while (((bits >> 52) & 0x7FF) == 0x7FF) bits = gen();  // no inf/nan
+    const double value = std::bit_cast<double>(bits);
+    switch (i % 3) {
+      case 0:
+        std::snprintf(text, sizeof text, "%.17g", value);
+        break;
+      case 1:
+        std::snprintf(text, sizeof text, gen.chance(0.5) ? "%.*g" : "%.*e",
+                      static_cast<int>(1 + gen.below(30)), value);
+        break;
+      default: {
+        std::string s = gen.chance(0.2) ? "-" : gen.chance(0.1) ? "+" : "";
+        const std::uint64_t digits = 1 + gen.below(40);
+        const std::uint64_t point = gen.below(digits + 1);
+        for (std::uint64_t d = 0; d < digits; ++d) {
+          if (d == point) s += '.';
+          s += static_cast<char>('0' + gen.below(10));
+        }
+        if (gen.chance(0.8)) {
+          s += 'e' + std::to_string(gen.between(-360, 330));
+        }
+        std::snprintf(text, sizeof text, "%s", s.c_str());
+        break;
+      }
+    }
+    const std::string_view token(text);
+    char* end = nullptr;
+    const double want = std::strtod(text, &end);
+    const bool want_ok =
+        end == text + token.size() && std::isfinite(want) &&
+        token.size() <= support::token_reader::kMaxDoubleToken;
+    const std::optional<double> got = read_one<double>(token);
+    ASSERT_EQ(got.has_value(), want_ok) << text;
+    if (got) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(*got),
+                std::bit_cast<std::uint64_t>(want))
+          << text;
+    }
+  }
+}
+
+TEST(token_reader, failure_is_sticky) {
+  support::token_reader r("width x 8");
+  std::string_view key;
+  unsigned width = 3;
+  EXPECT_FALSE(r >> key >> width);
+  EXPECT_EQ(key, "width");
+  EXPECT_EQ(width, 3u);
+  unsigned next = 0;
+  EXPECT_FALSE(r >> next);  // "8" is never consumed after a failure
+  EXPECT_EQ(next, 0u);
 }
 
 #if AXC_HAS_SUBPROCESS
