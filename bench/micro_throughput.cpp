@@ -36,6 +36,7 @@
 #include "nn/quantize.h"
 #include "nn/trainer.h"
 #include "support/checksum.h"
+#include "support/journal.h"
 #include "support/rng.h"
 #include "support/simd.h"
 #include "tech/analysis.h"
@@ -620,23 +621,19 @@ void bm_store_get(benchmark::State& state) {
 }
 BENCHMARK(bm_store_get);
 
-/// One result-store index record, in the journal's own line format
-/// (`put <kind> <key> <hash16> <size> <crc8> crc <8hex>`).  The open and
-/// refresh benches write journals directly: open() replays the index
-/// alone, and thousands of real puts would spend the setup in fsync.
+/// One result-store index record
+/// (`put <kind> <key> <hash16> <size> <crc8>`), framed by the journal
+/// encoder the store itself uses.  The open and refresh benches write
+/// journals directly: open() replays the index alone, and thousands of
+/// real puts would spend the setup in fsync.
 std::string store_index_record(std::uint64_t i) {
   static constexpr const char* kinds[] = {"session", "session", "table",
                                           "front"};
-  char body[128];
-  std::snprintf(body, sizeof body, "put %s %s %016llx %llu %08x",
-                kinds[i % 4], core::result_store::format_key(i).c_str(),
-                static_cast<unsigned long long>(i * 0x9e3779b97f4a7c15ULL),
-                static_cast<unsigned long long>(1000 + i % 9000),
-                static_cast<unsigned>(i * 2654435761u));
-  char line[160];
-  std::snprintf(line, sizeof line, "%s crc %08x\n", body,
-                support::crc32(body));
-  return line;
+  return support::journal::encode(
+      std::string("put ") + kinds[i % 4] + " " + support::hex16(i) + " " +
+      support::hex16(i * 0x9e3779b97f4a7c15ULL) + " " +
+      std::to_string(1000 + i % 9000) + " " +
+      support::hex8(static_cast<std::uint32_t>(i * 2654435761u)));
 }
 
 /// A store root whose index holds `records` distinct mappings.

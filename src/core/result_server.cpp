@@ -1,16 +1,15 @@
 #include "core/result_server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <unordered_set>
 
-#include "support/checksum.h"
 #include "support/fault.h"
 #include "support/io.h"
+#include "support/journal.h"
 #include "support/tokens.h"
 
 #if AXC_HAS_NET
@@ -38,25 +37,6 @@ std::string format_double(double value) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", value);
   return buf;
-}
-
-/// Same self-CRC'd line shape as the coordinator journal: `<body> crc <8hex>`.
-[[nodiscard]] std::string journal_line(std::string_view body) {
-  std::string line(body);
-  char buf[9];
-  std::snprintf(buf, sizeof buf, "%08x", support::crc32(body));
-  line += " crc ";
-  line += buf;
-  line += '\n';
-  return line;
-}
-
-[[nodiscard]] std::optional<std::uint64_t> parse_hex16(const std::string& s) {
-  if (s.empty() || s.size() > 16 ||
-      s.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    return std::nullopt;
-  }
-  return std::stoull(s, nullptr, 16);
 }
 
 [[nodiscard]] bool known_status(std::string_view status) {
@@ -218,60 +198,31 @@ std::string result_server::job_spec_path(std::uint64_t key) const {
 
 bool result_server::journal_append(std::string_view body) {
   std::scoped_lock lock(journal_mutex_);
-  const std::string path = config_.work_dir + "/server.journal";
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::app);
-    if (!os) return false;
-    const std::string line = journal_line(body);
-    os.write(line.data(), static_cast<std::streamsize>(line.size()));
-    os.flush();
-    if (!os) return false;
-  }
-  return support::fsync_file(path);
+  return support::journal::append(config_.work_dir + "/server.journal",
+                                  body);
 }
 
 void result_server::replay_journal() {
   const std::string path = config_.work_dir + "/server.journal";
   std::vector<std::uint64_t> enqueued;
-  std::vector<std::uint64_t> settled;  // done or fail
-  bool valid = false;
-  {
-    std::ifstream is(path, std::ios::binary);
-    std::string line;
-    while (is && std::getline(is, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      const std::size_t crc_at = line.rfind(" crc ");
-      if (crc_at == std::string::npos) continue;  // damaged: drop, resync
-      const auto stored = parse_hex16(line.substr(crc_at + 5));
-      const std::string body = line.substr(0, crc_at);
-      if (!stored || *stored != support::crc32(body)) continue;
-      std::istringstream ls(body);
-      std::string tag;
-      ls >> tag;
-      if (!valid) {
-        std::string version;
-        if (tag != "serve" || !(ls >> version) ||
-            "serve " + version != kJournalMagic) {
-          // Foreign or pre-header-damaged journal: start fresh below.
-          break;
-        }
-        valid = true;
-        continue;
-      }
-      std::string key_hex;
-      if (!(ls >> key_hex)) continue;
-      const auto key = parse_hex16(key_hex);
-      if (!key) continue;
-      if (tag == "enqueue") {
-        enqueued.push_back(*key);
-      } else if (tag == "done" || tag == "fail") {
-        settled.push_back(*key);
-      }
+  std::unordered_set<std::uint64_t> settled;  // done or fail
+  const auto apply = [&](std::string_view body) {
+    support::token_reader ls(body);
+    std::string_view tag, key_hex;
+    if (!(ls >> tag >> key_hex)) return;
+    const auto key = support::parse_hex(key_hex);
+    if (!key) return;
+    if (tag == "enqueue") {
+      enqueued.push_back(*key);
+    } else if (tag == "done" || tag == "fail") {
+      settled.insert(*key);
     }
-  }
-  if (!valid) {
-    if (!support::write_file_durable(
-            path, journal_line(std::string(kJournalMagic)))) {
+  };
+  if (!support::journal::replay(support::journal::load(path), kJournalMagic,
+                                apply)) {
+    // Missing, foreign or header-damaged journal: start fresh.
+    if (!support::write_file_durable(path,
+                                     support::journal::encode(kJournalMagic))) {
       std::fprintf(stderr, "axc-serve: cannot write journal %s\n",
                    path.c_str());
     }
@@ -281,15 +232,13 @@ void result_server::replay_journal() {
   // front actually landed (the crash hit between publish and the `done`
   // record) is recognized from the store and settled retroactively.
   for (const std::uint64_t key : enqueued) {
-    if (std::find(settled.begin(), settled.end(), key) != settled.end()) {
-      continue;
-    }
+    if (settled.contains(key)) continue;
     const std::string key16 = result_store::format_key(key);
     {
       std::scoped_lock lock(store_mutex_);
       if (store_ && store_->contains("front", key16)) {
         (void)journal_append("done " + key16);
-        settled.push_back(key);
+        settled.insert(key);
         continue;
       }
     }
@@ -300,13 +249,13 @@ void result_server::replay_journal() {
                    "dropping it\n",
                    key16.c_str());
       (void)journal_append("fail " + key16);
-      settled.push_back(key);
+      settled.insert(key);
       continue;
     }
     std::scoped_lock lock(jobs_mutex_);
     jobs_.try_emplace(key, job{*std::move(spec), job_state::queued});
     queue_.push_back(key);
-    settled.push_back(key);  // guard against duplicate enqueue records
+    settled.insert(key);  // guard against duplicate enqueue records
     std::scoped_lock stats_lock(stats_mutex_);
     ++stats_.jobs_adopted;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -19,6 +18,7 @@
 #include "support/checksum.h"
 #include "support/fault.h"
 #include "support/io.h"
+#include "support/journal.h"
 
 namespace axc::core {
 
@@ -41,34 +41,6 @@ constexpr std::string_view kFaultCrashMidAppend =
 // Deletes the object file right after put()'s existence probe — the window
 // a concurrent gc (another process, stale index) wins the race in.
 constexpr std::string_view kFaultPutRacingGc = "store-put-racing-gc";
-
-[[nodiscard]] std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return std::string(buf);
-}
-
-[[nodiscard]] std::string hex8(std::uint32_t v) {
-  char buf[9];
-  std::snprintf(buf, sizeof(buf), "%08x", v);
-  return std::string(buf);
-}
-
-[[nodiscard]] std::optional<std::uint64_t> parse_hex64(std::string_view s) {
-  if (s.empty() || s.size() > 16) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') {
-      v |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return v;
-}
 
 [[nodiscard]] bool is_token(std::string_view s) {
   if (s.empty()) return false;
@@ -103,11 +75,11 @@ constexpr std::string_view kFaultPutRacingGc = "store-put-racing-gc";
   header += "\nsize ";
   header += std::to_string(entry.size);
   header += "\npayload-crc ";
-  header += hex8(entry.payload_crc);
+  header += support::hex8(entry.payload_crc);
   header += '\n';
   std::string out = header;
   out += "crc ";
-  out += hex8(support::crc32(header));
+  out += support::hex8(support::crc32(header));
   out += '\n';
   out.append(payload.data(), payload.size());
   return out;
@@ -135,7 +107,7 @@ struct decoded_object {
   if (crc_nl == std::string_view::npos) return std::nullopt;
   const std::string_view crc_line = bytes.substr(pos, crc_nl - pos);
   if (crc_line.substr(0, 4) != "crc ") return std::nullopt;
-  const auto stored_crc = parse_hex64(crc_line.substr(4));
+  const auto stored_crc = support::parse_hex(crc_line.substr(4));
   if (!stored_crc || *stored_crc != support::crc32(header)) {
     return std::nullopt;
   }
@@ -167,7 +139,7 @@ struct decoded_object {
   if (!std::getline(is, line) || line.rfind("payload-crc ", 0) != 0) {
     return std::nullopt;
   }
-  const auto pcrc = parse_hex64(line.substr(12));
+  const auto pcrc = support::parse_hex(line.substr(12));
   if (!pcrc) return std::nullopt;
   obj.entry.payload_crc = static_cast<std::uint32_t>(*pcrc);
 
@@ -189,39 +161,29 @@ struct decoded_object {
   return std::move(os).str();
 }
 
-/// One index journal record, the same self-CRC'd line shape as the session
-/// v2 format: `put <kind> <key> <hash16> <size> <payloadcrc8> crc <8hex>`,
-/// CRC over everything before " crc".
-[[nodiscard]] std::string encode_index_record(const store_entry& entry) {
+/// The body of one index journal record (support/journal.h frames it):
+/// `put <kind> <key> <hash16> <size> <payloadcrc8>`.
+[[nodiscard]] std::string index_record(const store_entry& entry) {
   std::string body = "put ";
   body += entry.kind;
   body += ' ';
   body += entry.key;
   body += ' ';
-  body += hex16(entry.hash);
+  body += support::hex16(entry.hash);
   body += ' ';
   body += std::to_string(entry.size);
   body += ' ';
-  body += hex8(entry.payload_crc);
-  std::string line = body;
-  line += " crc ";
-  line += hex8(support::crc32(body));
-  line += '\n';
-  return line;
+  body += support::hex8(entry.payload_crc);
+  return body;
 }
 
 [[nodiscard]] std::optional<store_entry> decode_index_record(
-    std::string_view line) {
-  const std::size_t crc_at = line.rfind(" crc ");
-  if (crc_at == std::string_view::npos) return std::nullopt;
-  const auto stored = parse_hex64(line.substr(crc_at + 5));
-  if (!stored || *stored != support::crc32(line.substr(0, crc_at))) {
-    return std::nullopt;
-  }
-  // `put <kind> <key> <hash16> <size> <payloadcrc8>`: six space-separated
-  // tokens, split in place (this runs once per journal line on open()).
+    std::string_view body) {
+  // Six space-separated fields, split in place with memchr: this runs once
+  // per record on open(), and token_reader's per-character scan made
+  // bm_store_open ~20% slower.
   std::string_view fields[6];
-  std::string_view rest = line.substr(0, crc_at);
+  std::string_view rest = body;
   for (std::string_view& field : fields) {
     const std::size_t sp = rest.find(' ');
     field = rest.substr(0, sp);
@@ -230,8 +192,8 @@ struct decoded_object {
                                         : rest.substr(sp + 1);
   }
   if (fields[0] != "put" || !rest.empty()) return std::nullopt;
-  const auto hash = parse_hex64(fields[3]);
-  const auto pcrc = parse_hex64(fields[5]);
+  const auto hash = support::parse_hex(fields[3]);
+  const auto pcrc = support::parse_hex(fields[5]);
   std::uint64_t size = 0;
   const auto [end, ec] = std::from_chars(
       fields[4].data(), fields[4].data() + fields[4].size(), size);
@@ -246,14 +208,6 @@ struct decoded_object {
   e.size = size;
   e.payload_crc = static_cast<std::uint32_t>(*pcrc);
   return e;
-}
-
-[[nodiscard]] std::string encode_index_header() {
-  std::string line(kIndexMagic);
-  line += " crc ";
-  line += hex8(support::crc32(kIndexMagic));
-  line += '\n';
-  return line;
 }
 
 [[nodiscard]] std::string slot_key(std::string_view kind,
@@ -277,11 +231,11 @@ void sort_entries(std::vector<store_entry>& index) {
 }  // namespace
 
 std::string result_store::format_key(std::uint64_t fingerprint) {
-  return hex16(fingerprint);
+  return support::hex16(fingerprint);
 }
 
 std::string result_store::object_path(std::uint64_t hash) const {
-  const std::string name = hex16(hash);
+  const std::string name = support::hex16(hash);
   return root_ + "/objects/" + name.substr(0, 2) + "/" + name + ".obj";
 }
 
@@ -311,17 +265,15 @@ bool result_store::load(store_open_report& report) {
   std::string bytes;
   const bool readable =
       index_fd_.valid() && support::read_to_end(index_fd_.get(), 0, bytes);
-  const std::string header = encode_index_header();
-  if (readable && bytes.starts_with(header)) {
-    // Replay the journal: verified header, then one record per line with
-    // salvage-on-damage (drop the record, resync at the next newline).
-    index_offset_ = header.size();
-    index_last_line_ = header;
-    const std::size_t end =
-        apply_records(bytes, 0, header.size(), report.index_salvaged);
+  bool damaged = false;
+  if (const auto replayed = support::journal::replay(
+          bytes, kIndexMagic,
+          [&](std::string_view body) { damaged |= !apply_record(body); })) {
+    track(bytes, 0, *replayed);
     // A torn tail is damage to open() (which rewrites it away) but only
     // an append in progress to refresh(), which re-reads it next time.
-    if (end < bytes.size()) report.index_salvaged = true;
+    report.index_salvaged =
+        damaged || replayed->damaged || replayed->end < bytes.size();
     return report.index_salvaged;
   }
   // Missing or header-damaged: nothing to track, so every refresh() redoes
@@ -350,26 +302,17 @@ bool result_store::load(store_open_report& report) {
   return true;
 }
 
-std::size_t result_store::apply_records(std::string_view bytes,
-                                        std::uint64_t base, std::size_t pos,
-                                        bool& salvaged) {
-  std::size_t last = std::string_view::npos;
-  while (pos < bytes.size()) {
-    const std::size_t nl = bytes.find('\n', pos);
-    if (nl == std::string_view::npos) break;  // torn tail: not yet a record
-    if (auto entry = decode_index_record(bytes.substr(pos, nl - pos))) {
-      upsert(*std::move(entry));
-    } else if (nl > pos) {
-      salvaged = true;  // damaged record dropped
-    }
-    last = pos;
-    pos = nl + 1;
-  }
-  if (last != std::string_view::npos) {
-    index_last_line_ = bytes.substr(last, pos - last);
-    index_offset_ = base + pos;
-  }
-  return pos;
+bool result_store::apply_record(std::string_view body) {
+  auto entry = decode_index_record(body);
+  if (entry) upsert(*std::move(entry));
+  return entry.has_value();
+}
+
+void result_store::track(std::string_view bytes, std::uint64_t base,
+                         const support::journal::scan_result& scan) {
+  if (scan.last_line == std::string_view::npos) return;  // nothing new
+  index_last_line_ = bytes.substr(scan.last_line, scan.end - scan.last_line);
+  index_offset_ = base + scan.end;
 }
 
 void result_store::refresh() {
@@ -386,8 +329,10 @@ void result_store::refresh() {
     std::string bytes;
     if (support::read_to_end(index_fd_.get(), from, bytes) &&
         bytes.starts_with(index_last_line_)) {
-      bool salvaged = false;
-      (void)apply_records(bytes, from, index_last_line_.size(), salvaged);
+      track(bytes, from,
+            support::journal::scan(
+                bytes, index_last_line_.size(),
+                [this](std::string_view body) { (void)apply_record(body); }));
       return;
     }
   }
@@ -410,7 +355,8 @@ void result_store::scan_objects(std::vector<store_entry>& found) const {
     if (!obj) continue;  // corrupt: invisible to rebuild, scrub handles it
     // Trust only objects stored under their true content address; a
     // renamed/copied stray must not hijack a mapping during rebuild.
-    if (de.path().filename().string() != hex16(obj->entry.hash) + ".obj") {
+    if (de.path().filename().string() !=
+        support::hex16(obj->entry.hash) + ".obj") {
       continue;
     }
     found.push_back(obj->entry);
@@ -418,10 +364,12 @@ void result_store::scan_objects(std::vector<store_entry>& found) const {
 }
 
 bool result_store::rewrite_index() {
-  std::string text = encode_index_header();
+  std::string text = support::journal::encode(kIndexMagic);
   std::vector<store_entry> sorted = index_;
   sort_entries(sorted);
-  for (const auto& e : sorted) text += encode_index_record(e);
+  for (const auto& e : sorted) {
+    text += support::journal::encode(index_record(e));
+  }
   // The tracked file is being replaced; the next refresh() reloads.
   index_fd_.reset();
   return support::write_file_durable(index_path(), text);
@@ -452,16 +400,7 @@ void result_store::reindex() {
 
 bool result_store::append_index_record(const store_entry& entry) {
   if (fault::fire(kFaultIndexAppendFail)) return false;
-  const std::string path = index_path();
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::app);
-    if (!os) return false;
-    const std::string line = encode_index_record(entry);
-    os.write(line.data(), static_cast<std::streamsize>(line.size()));
-    os.flush();
-    if (!os) return false;
-  }
-  return support::fsync_file(path);
+  return support::journal::append(index_path(), index_record(entry));
 }
 
 std::optional<std::uint64_t> result_store::put(std::string_view kind,
@@ -580,7 +519,8 @@ store_scrub_report result_store::scrub() {
     std::optional<decoded_object> obj;
     if (bytes) obj = decode_object(*bytes);
     const bool name_ok =
-        obj && path.filename().string() == hex16(obj->entry.hash) + ".obj";
+        obj &&
+        path.filename().string() == support::hex16(obj->entry.hash) + ".obj";
     if (obj && name_ok) continue;
     // Quarantine: rename aside, never delete — keep the evidence, stop
     // serving it.  A name collision in quarantine gets a numeric suffix so
@@ -592,8 +532,7 @@ store_scrub_report result_store::scrub() {
     }
     fs::rename(path, dest, ec);
     if (!ec) ++report.quarantined;
-    if (const auto hash =
-            parse_hex64(path.stem().string())) {
+    if (const auto hash = support::parse_hex(path.stem().string())) {
       bad_hashes.insert(*hash);
     }
   }
@@ -632,7 +571,7 @@ store_gc_report result_store::gc() {
   std::unordered_set<std::uint64_t> live_hashes;
   for (const store_entry& e : index_) live_hashes.insert(e.hash);
   for (const auto& path : object_files) {
-    const auto hash = parse_hex64(path.stem().string());
+    const auto hash = support::parse_hex(path.stem().string());
     if (hash && live_hashes.contains(*hash)) continue;
     const auto size = fs::file_size(path, ec);
     if (!fs::remove(path, ec) || ec) continue;

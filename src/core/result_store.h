@@ -17,12 +17,12 @@
 //     framing lines and a payload CRC over the bytes — so damage is
 //     *detected* at read time, never served;
 //   * lookups go through an append-only index journal (`<root>/index.axc`)
-//     mapping (kind, key) -> object, one self-CRC'd record per line with
-//     the axc-session-v2 salvage semantics: damaged records are dropped
-//     and scanning resyncs at the next line.  A missing or header-damaged
-//     index degrades gracefully — open() rebuilds it by scanning the
-//     object files themselves (the objects are the truth; the index is a
-//     cache of it);
+//     mapping (kind, key) -> object, one CRC-line record per line with
+//     the salvage and torn-tail rules of support/journal.h: damaged
+//     records are dropped and scanning resyncs at the next line.  A
+//     missing or header-damaged index degrades gracefully — open()
+//     rebuilds it by scanning the object files themselves (the objects
+//     are the truth; the index is a cache of it);
 //   * a long-lived reader (the result server) follows other processes'
 //     publishes with refresh(), which applies only the records appended
 //     since its last look instead of re-reading the whole journal;
@@ -63,6 +63,7 @@
 
 #include "core/pareto.h"
 #include "support/io.h"
+#include "support/journal.h"
 
 namespace axc::core {
 
@@ -165,11 +166,13 @@ class result_store {
   /// and starts tracking the file read.  Never writes; true when open()
   /// must rewrite the index (rebuilt, salvaged or absent).
   bool load(store_open_report& report);
-  /// Applies the complete records of `bytes` (read from file offset
-  /// `base`) from `pos` on and moves the refresh cursor past the last
-  /// complete line; returns that line's end (a torn tail stays unread).
-  std::size_t apply_records(std::string_view bytes, std::uint64_t base,
-                            std::size_t pos, bool& salvaged);
+  /// Upserts one index record body; false when it is not a `put` record.
+  bool apply_record(std::string_view body);
+  /// Moves the refresh cursor past the last complete line of `scan`, a
+  /// scan of `bytes` read from file offset `base` (a torn tail stays
+  /// unread).
+  void track(std::string_view bytes, std::uint64_t base,
+             const support::journal::scan_result& scan);
   void upsert(store_entry entry);
   [[nodiscard]] const store_entry* find(std::string_view kind,
                                         std::string_view key) const;

@@ -14,6 +14,7 @@
 #include "support/checksum.h"
 #include "support/fault.h"
 #include "support/io.h"
+#include "support/journal.h"
 #include "support/thread_pool.h"
 
 namespace axc::core {
@@ -41,12 +42,6 @@ constexpr std::string_view kMagicV2 = "axc-session v2";
 /// paper uses 14 targets x 25 runs) but small enough that a corrupted
 /// count in a checkpoint is rejected instead of driving a huge allocation.
 constexpr std::size_t kMaxPlanEntries = std::size_t{1} << 20;
-
-std::string format_crc(std::uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%08x", crc);
-  return buf;
-}
 
 bool starts_with(std::string_view line, std::string_view prefix) {
   return line.substr(0, prefix.size()) == prefix;
@@ -98,15 +93,10 @@ std::optional<circuit::netlist> parse_netlist_block(text_lines& cur) {
   return std::nullopt;
 }
 
-/// Parses a "crc <8-hex>" line into its value.
+/// Parses a "crc <8-hex>" line (exactly 8 lowercase digits) into its value.
 std::optional<std::uint32_t> parse_crc_line(std::string_view line) {
   if (!starts_with(line, "crc ")) return std::nullopt;
-  std::istringstream is{std::string(line.substr(4))};
-  std::uint32_t crc = 0;
-  if (!(is >> std::hex >> crc)) return std::nullopt;
-  std::string rest;
-  if (is >> rest) return std::nullopt;
-  return crc;
+  return support::parse_crc(line.substr(4));
 }
 
 }  // namespace
@@ -318,7 +308,7 @@ struct search_session::impl {
     header << "seed-netlist\n";
     circuit::write_netlist(header, seed);
     const std::string header_bytes = header.str();
-    os << header_bytes << "crc " << format_crc(support::crc32(header_bytes))
+    os << header_bytes << "crc " << support::hex8(support::crc32(header_bytes))
        << "\n";
 
     std::size_t saved = 0;
@@ -335,7 +325,7 @@ struct search_session::impl {
       circuit::write_netlist(record, design.netlist);
       const std::string record_bytes = record.str();
       os << record_bytes << "crc "
-         << format_crc(support::crc32(record_bytes)) << "\n";
+         << support::hex8(support::crc32(record_bytes)) << "\n";
       ++saved;
     }
     os << "end " << saved << "\n";

@@ -16,9 +16,9 @@
 #include "circuit/serialize.h"
 #include "core/node_pool.h"
 #include "core/result_store.h"
-#include "support/checksum.h"
 #include "support/fault.h"
 #include "support/io.h"
+#include "support/journal.h"
 #include "support/launcher.h"
 #include "support/subprocess.h"
 #include "support/tokens.h"
@@ -158,19 +158,11 @@ void wait_for_tick(const std::vector<shard_state>& states,
 #endif
 }
 
-[[nodiscard]] std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 // ---- Coordinator journal ------------------------------------------------
 //
 // Append-only record of supervision milestones under
-// `<work_dir>/coordinator.journal`, every line `<body> crc <8hex>` (CRC32
-// over the body) with the session-v2 salvage rule: a damaged line is
-// dropped, scanning resyncs at the next newline.  Grammar:
+// `<work_dir>/coordinator.journal`, in the CRC-line format and with the
+// salvage and torn-tail rules of support/journal.h.  Record bodies:
 //
 //   coord v1 key <16hex>          header; key = sweep_spec::store_key()
 //   spawn <shard> <attempt>       worker launched (attempts cumulative
@@ -197,47 +189,14 @@ void wait_for_tick(const std::vector<shard_state>& states,
 // (worker checkpoints carry the results); it only avoids redundant work
 // and keeps attempt accounting truthful across lives.
 
-[[nodiscard]] std::string journal_line(std::string_view body) {
-  std::string line(body);
-  char buf[9];
-  std::snprintf(buf, sizeof buf, "%08x", support::crc32(body));
-  line += " crc ";
-  line += buf;
-  line += '\n';
-  return line;
-}
-
-struct coord_journal {
-  std::string path{};
-
-  /// Durable append; failure is reported once (a lost journal only costs
-  /// redundant work on the next life, never correctness).
-  bool append(std::string_view body) {
-    if (path.empty()) return false;
-    {
-      std::ofstream os(path, std::ios::binary | std::ios::app);
-      if (!os) return false;
-      const std::string line = journal_line(body);
-      os.write(line.data(), static_cast<std::streamsize>(line.size()));
-      os.flush();
-      if (!os) return false;
-    }
-    return support::fsync_file(path);
-  }
-};
-
 struct journal_replay {
   bool valid{false};  ///< header present with this sweep's key
   std::vector<std::size_t> attempts{};  ///< cumulative spawns per shard
   std::vector<bool> completed{};
 };
 
-[[nodiscard]] std::optional<std::uint64_t> parse_hex(const std::string& s) {
-  if (s.empty() || s.size() > 16 ||
-      s.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    return std::nullopt;
-  }
-  return std::stoull(s, nullptr, 16);
+[[nodiscard]] std::string journal_header(std::uint64_t key) {
+  return std::string(kJournalMagic) + " key " + support::hex16(key);
 }
 
 journal_replay load_journal(const std::string& path, std::uint64_t key,
@@ -245,47 +204,33 @@ journal_replay load_journal(const std::string& path, std::uint64_t key,
   journal_replay replay;
   replay.attempts.assign(shard_count, 0);
   replay.completed.assign(shard_count, false);
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return replay;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const std::size_t crc_at = line.rfind(" crc ");
-    if (crc_at == std::string::npos) continue;  // damaged: drop, resync
-    const auto stored = parse_hex(line.substr(crc_at + 5));
-    const std::string body = line.substr(0, crc_at);
-    if (!stored || *stored != support::crc32(body)) continue;
-    std::istringstream ls(body);
-    std::string tag;
-    ls >> tag;
-    if (!replay.valid) {
-      // The first intact record must be a matching header; anything else
-      // means a foreign or pre-header-damaged journal — start fresh.
-      std::string version, kw, key_hex;
-      if (tag != "coord" || !(ls >> version >> kw >> key_hex) ||
-          "coord " + version != kJournalMagic || kw != "key") {
-        return replay;
-      }
-      const auto found = parse_hex(key_hex);
-      if (!found || *found != key) return replay;
-      replay.valid = true;
-      continue;
-    }
+  const auto apply = [&](std::string_view body) {
+    support::token_reader ls(body);
+    const std::string_view tag = ls.next();
+    std::size_t shard = 0, attempt = 0;
     if (tag == "spawn") {
-      std::size_t shard = 0, attempt = 0;
       if ((ls >> shard >> attempt) && shard < shard_count) {
         replay.attempts[shard] = std::max(replay.attempts[shard], attempt);
       }
     } else if (tag == "complete") {
-      std::size_t shard = 0;
       if ((ls >> shard) && shard < shard_count) {
         replay.completed[shard] = true;
       }
     }
     // fail/publish/done need no replay: retries restart each life, and
     // publishing is idempotent (content-addressed puts).
-  }
+  };
+  // A header for another key means a foreign journal: start fresh.
+  replay.valid = support::journal::replay(support::journal::load(path),
+                                          journal_header(key), apply)
+                     .has_value();
   return replay;
+}
+
+/// Appends one coordinator journal record.  Failure is ignored: a lost
+/// record only costs redundant work on the next life, never correctness.
+void note(const std::string& journal, std::string_view body) {
+  (void)support::journal::append(journal, body);
 }
 
 }  // namespace
@@ -578,7 +523,7 @@ std::string reason_exit(int code) { return "exit" + std::to_string(code); }
 /// running; the caller settles the lease.
 bool start_launch(const shard_runner_config& config, node_pool& pool,
                   shard_state& s, std::size_t node_idx, bool speculative,
-                  coord_journal& journal) {
+                  const std::string& journal) {
   const node_config& node = pool.config(node_idx);
   shard_launch l;
   l.node = node_idx;
@@ -602,16 +547,16 @@ bool start_launch(const shard_runner_config& config, node_pool& pool,
 
   if (auto victim = fault::fire(fault::points::node_launch_fail);
       victim && *victim == node_idx) {
-    (void)journal.append("release " + std::to_string(s.outcome.shard) + " " +
-                         node.name + " launch");
+    note(journal, "release " + std::to_string(s.outcome.shard) + " " +
+                  node.name + " launch");
     return false;
   }
 
   const support::worker_launcher launcher = node.launcher();
   if (!node.shares_filesystem()) {
     if (!launcher.push_file(s.spec_path, l.remote_spec)) {
-      (void)journal.append("release " + std::to_string(s.outcome.shard) +
-                           " " + node.name + " launch");
+      note(journal, "release " + std::to_string(s.outcome.shard) +
+                    " " + node.name + " launch");
       return false;
     }
     // Reassignment rides the checkpoint contract: push the shard's current
@@ -620,8 +565,8 @@ bool start_launch(const shard_runner_config& config, node_pool& pool,
     std::error_code ec;
     if (!speculative && std::filesystem::exists(s.checkpoint_path, ec)) {
       if (!launcher.push_file(s.checkpoint_path, l.remote_checkpoint)) {
-        (void)journal.append("release " + std::to_string(s.outcome.shard) +
-                             " " + node.name + " launch");
+        note(journal, "release " + std::to_string(s.outcome.shard) +
+                      " " + node.name + " launch");
         return false;
       }
     }
@@ -645,16 +590,16 @@ bool start_launch(const shard_runner_config& config, node_pool& pool,
   l.last_growth = l.started;
   l.last_fetch = l.started;
   if (!l.proc) {
-    (void)journal.append("release " + std::to_string(s.outcome.shard) + " " +
-                         node.name + " launch");
+    note(journal, "release " + std::to_string(s.outcome.shard) + " " +
+                  node.name + " launch");
     return false;
   }
-  (void)journal.append(
-      "lease " + std::to_string(s.outcome.shard) + " " + node.name + " " +
-      (speculative ? std::string("spec") : std::to_string(s.attempt)));
+  note(journal,
+       "lease " + std::to_string(s.outcome.shard) + " " + node.name + " " +
+       (speculative ? std::string("spec") : std::to_string(s.attempt)));
   if (!speculative) {
-    (void)journal.append("spawn " + std::to_string(s.outcome.shard) + " " +
-                         std::to_string(s.attempt));
+    note(journal, "spawn " + std::to_string(s.outcome.shard) + " " +
+                  std::to_string(s.attempt));
   }
   emit(config, s,
        speculative ? shard_event_kind::speculated : shard_event_kind::spawned,
@@ -672,14 +617,14 @@ bool retrieve_valid_checkpoint(const shard_runner_config& config,
                                const node_config& node, shard_state& s,
                                shard_launch& l,
                                const component_handle& component,
-                               coord_journal& journal) {
+                               const std::string& journal) {
   const std::size_t expected = s.part.plan.job_count();
   const std::string shard_str = std::to_string(s.outcome.shard);
   if (node.shares_filesystem()) {
     if (checkpoint_complete(l.checkpoint_path, component, expected)) {
       return true;
     }
-    (void)journal.append("fetch " + shard_str + " " + node.name + " torn");
+    note(journal, "fetch " + shard_str + " " + node.name + " torn");
     emit(config, s, shard_event_kind::fetch_torn, 0, l.last_jobs, node.name);
     return false;
   }
@@ -688,7 +633,7 @@ bool retrieve_valid_checkpoint(const shard_runner_config& config,
   std::error_code ec;
   for (std::size_t i = 0; i <= config.fetch_retries; ++i) {
     if (!launcher.fetch_file(l.remote_checkpoint, scratch)) {
-      (void)journal.append("fetch " + shard_str + " " + node.name + " fail");
+      note(journal, "fetch " + shard_str + " " + node.name + " fail");
       continue;
     }
     if (auto cut = fault::fire(fault::points::node_fetch_torn)) {
@@ -699,11 +644,11 @@ bool retrieve_valid_checkpoint(const shard_runner_config& config,
       const auto bytes = read_file_text(scratch);
       if (bytes && support::write_file_durable(l.checkpoint_path, *bytes)) {
         std::filesystem::remove(scratch, ec);
-        (void)journal.append("fetch " + shard_str + " " + node.name + " ok");
+        note(journal, "fetch " + shard_str + " " + node.name + " ok");
         return true;
       }
     }
-    (void)journal.append("fetch " + shard_str + " " + node.name + " torn");
+    note(journal, "fetch " + shard_str + " " + node.name + " torn");
     emit(config, s, shard_event_kind::fetch_torn, 0, l.last_jobs, node.name);
   }
   std::filesystem::remove(scratch, ec);
@@ -789,19 +734,15 @@ sweep_result run_sweep(const sweep_spec& spec,
 
   const std::uint64_t sweep_key = spec.store_key();
   const std::vector<plan_shard> parts = split_plan(spec.plan, config.shards);
-  const std::string journal_path = config.work_dir + "/coordinator.journal";
-  const journal_replay replay =
-      load_journal(journal_path, sweep_key, parts.size());
-  coord_journal journal{journal_path};
+  const std::string journal = config.work_dir + "/coordinator.journal";
+  const journal_replay replay = load_journal(journal, sweep_key, parts.size());
   if (!replay.valid) {
     // Fresh (or foreign/damaged) journal: durably replace it with just the
     // header — records then append behind it.
     if (!support::write_file_durable(
-            journal_path,
-            journal_line(std::string(kJournalMagic) + " key " +
-                         hex16(sweep_key)))) {
+            journal, support::journal::encode(journal_header(sweep_key)))) {
       std::fprintf(stderr, "axc: run_sweep: cannot write %s\n",
-                   journal_path.c_str());
+                   journal.c_str());
     }
   }
 
@@ -881,8 +822,8 @@ sweep_result run_sweep(const sweep_spec& spec,
           l.proc->kill_hard();
           l.proc.reset();  // blocks until the worker is reaped
           pool.release(l.node);
-          (void)journal.append("release " + std::to_string(s.outcome.shard) +
-                               " " + pool.config(l.node).name + " drain");
+          note(journal, "release " + std::to_string(s.outcome.shard) +
+                        " " + pool.config(l.node).name + " drain");
           emit(cfg, s, shard_event_kind::drained, 0, l.last_jobs,
                pool.config(l.node).name);
         }
@@ -992,9 +933,9 @@ sweep_result run_sweep(const sweep_spec& spec,
                   other.proc.reset();
                 }
                 pool.release(other.node);
-                (void)journal.append(
-                    "release " + std::to_string(s.outcome.shard) + " " +
-                    pool.config(other.node).name + " superseded");
+                note(journal, "release " + std::to_string(s.outcome.shard) +
+                              " " + pool.config(other.node).name +
+                              " superseded");
               }
               shard_launch winner = std::move(s.launches[li]);
               s.launches.clear();
@@ -1010,8 +951,7 @@ sweep_result run_sweep(const sweep_spec& spec,
                 (void)support::write_file_durable(s.checkpoint_path, *bytes);
               }
             }
-            (void)journal.append("complete " +
-                                 std::to_string(s.outcome.shard));
+            note(journal, "complete " + std::to_string(s.outcome.shard));
             emit(cfg, s, shard_event_kind::completed, 0, w.last_jobs,
                  node.name);
           }
@@ -1033,8 +973,8 @@ sweep_result run_sweep(const sweep_spec& spec,
                                    : status->success()
                                        ? std::string("torn")
                                        : reason_exit(status->code);
-        (void)journal.append("release " + std::to_string(s.outcome.shard) +
-                             " " + node.name + " " + reason);
+        note(journal, "release " + std::to_string(s.outcome.shard) +
+                      " " + node.name + " " + reason);
         emit(cfg, s, shard_event_kind::exited, status->code, l.last_jobs,
              node.name);
         if (!was_speculative) salvage_remote_partial(node, s, l);
@@ -1044,9 +984,8 @@ sweep_result run_sweep(const sweep_spec& spec,
           if (s.attempt >= cfg.max_attempts) {
             if (s.launches.empty()) {
               s.failed = true;
-              (void)journal.append("fail " +
-                                   std::to_string(s.outcome.shard) + " " +
-                                   std::to_string(status->code));
+              note(journal, "fail " + std::to_string(s.outcome.shard) + " " +
+                            std::to_string(status->code));
               emit(cfg, s, shard_event_kind::failed, status->code);
             } else {
               // A speculative duplicate still carries the shard; only its
@@ -1084,9 +1023,8 @@ sweep_result run_sweep(const sweep_spec& spec,
           s.done = true;
         } else if (s.exhausted) {
           s.failed = true;
-          (void)journal.append("fail " + std::to_string(s.outcome.shard) +
-                               " " +
-                               std::to_string(s.outcome.last_exit_code));
+          note(journal, "fail " + std::to_string(s.outcome.shard) + " " +
+                        std::to_string(s.outcome.last_exit_code));
           emit(cfg, s, shard_event_kind::failed, s.outcome.last_exit_code);
         } else if (now >= s.next_spawn) {
           if (const auto n = pool.acquire(now, s.avoid_nodes)) {
@@ -1111,8 +1049,8 @@ sweep_result run_sweep(const sweep_spec& spec,
               if (s.attempt >= cfg.max_attempts) {
                 s.failed = true;
                 s.outcome.last_exit_code = 127;
-                (void)journal.append(
-                    "fail " + std::to_string(s.outcome.shard) + " 127");
+                note(journal,
+                     "fail " + std::to_string(s.outcome.shard) + " 127");
                 emit(cfg, s, shard_event_kind::failed, 127);
               } else {
                 s.next_spawn = now + backoff_delay(s.attempt);
@@ -1153,7 +1091,7 @@ sweep_result run_sweep(const sweep_spec& spec,
       buffer << is.rdbuf();
       const std::string key = result_store::format_key(s.store_key);
       if (const auto hash = store->put("session", key, buffer.str())) {
-        (void)journal.append("publish session " + key + " " + hex16(*hash));
+        note(journal, "publish session " + key + " " + support::hex16(*hash));
       } else {
         std::fprintf(stderr, "axc: run_sweep: session publish failed (%s)\n",
                      key.c_str());
@@ -1171,7 +1109,8 @@ sweep_result run_sweep(const sweep_spec& spec,
         const std::string table = serialize_table(
             component.width(), component.characterize(spec.seed));
         if (const auto hash = store->put("table", tkey, table)) {
-          (void)journal.append("publish table " + tkey + " " + hex16(*hash));
+          note(journal,
+               "publish table " + tkey + " " + support::hex16(*hash));
         } else {
           std::fprintf(stderr, "axc: run_sweep: table publish failed (%s)\n",
                        tkey.c_str());
@@ -1180,8 +1119,8 @@ sweep_result run_sweep(const sweep_spec& spec,
       const std::string key = result_store::format_key(sweep_key);
       if (const auto hash =
               store->put("front", key, serialize_front(result.front))) {
-        (void)journal.append("publish front " + key + " " + hex16(*hash));
-        (void)journal.append("done");
+        note(journal, "publish front " + key + " " + support::hex16(*hash));
+        note(journal, "done");
       } else {
         std::fprintf(stderr, "axc: run_sweep: front publish failed (%s)\n",
                      key.c_str());

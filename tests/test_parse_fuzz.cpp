@@ -4,7 +4,7 @@
 // circuit::read_netlist, core::sweep_spec::parse and core::parse_request
 // split each line with support::token_reader.  The `oracle` namespace below
 // keeps the per-line stream versions verbatim (minus the spec parser's
-// stderr messages) as the reference.  Two properties:
+// stderr messages) as the reference.  Three properties:
 //
 //   (a) on well-formed input — random mult/adder specs, widths 3..8, PMFs
 //       with zero, subnormal and %.17g edge masses, seed netlists decoded
@@ -14,25 +14,36 @@
 //       requests and netlists, the new parser never accepts what the
 //       oracle rejects; when both accept they agree; and every input the
 //       oracle accepts but the new parser rejects holds one of the token
-//       classes src/core/README.md lists as rejected ("Token grammar").
+//       classes src/core/README.md lists as rejected ("Token grammar");
+//   (c) on seeded journals of the coordinator, server and store-index
+//       grammars, mutated by those byte operators plus torn tails,
+//       duplicated lines and CRLF, support::journal::replay hands over
+//       exactly the bodies of the lines written intact (worked out by
+//       comparing lines, not CRCs), and a result_store opened on a
+//       mutated index maps exactly the last intact record per (kind, key).
 //
 // Everything is a pure function of the fixed seeds below: a failure
 // reproduces by re-running the test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <initializer_list>
 #include <istream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -42,10 +53,12 @@
 #include "circuit/gate.h"
 #include "circuit/serialize.h"
 #include "core/result_server.h"
+#include "core/result_store.h"
 #include "core/shard_runner.h"
 #include "dist/pmf.h"
 #include "mult/adders.h"
 #include "mult/multipliers.h"
+#include "support/journal.h"
 #include "support/rng.h"
 #include "support/tokens.h"
 
@@ -705,6 +718,232 @@ TEST(parse_fuzz, mutated_netlists_parse_identically_and_stop_at_out) {
     }
   }
   EXPECT_GT(both_accept, 100u);
+}
+
+// ---- Journals ---------------------------------------------------------------
+
+/// A seeded journal of one grammar: its header body and record bodies.
+struct journal_corpus {
+  std::string header;
+  std::vector<std::string> records;
+};
+
+enum journal_grammar { coordinator, server, store_index };
+
+journal_corpus random_journal(rng& gen, journal_grammar grammar) {
+  static constexpr const char* kNodes[] = {"local", "fast-box", "slow-box"};
+  static constexpr const char* kKinds[] = {"session", "table", "front"};
+  static constexpr const char* kWhy[] = {"exit42", "torn",  "dead",
+                                         "superseded", "drain", "launch"};
+  static constexpr const char* kHow[] = {"ok", "torn", "fail"};
+  // Few distinct keys and shards, so later records overwrite earlier ones.
+  const auto key = [&gen] {
+    return support::hex16(gen.below(5) * 0x9e3779b97f4a7c15ULL);
+  };
+  const auto pick = [&gen](const auto& options) {
+    return std::string(options[gen.below(std::size(options))]);
+  };
+  journal_corpus j;
+  const std::uint64_t records = gen.below(24);
+  for (std::uint64_t i = 0; i < records; ++i) {
+    const std::string shard = std::to_string(gen.below(4));
+    std::string body;
+    if (grammar == coordinator) {
+      switch (gen.below(8)) {
+        case 0:
+          body = "spawn " + shard + " " + std::to_string(1 + gen.below(3));
+          break;
+        case 1:
+          body = "lease " + shard + " " + pick(kNodes) + " " +
+                 (gen.chance(0.3) ? "spec" : std::to_string(1 + gen.below(3)));
+          break;
+        case 2:
+          body = "fetch " + shard + " " + pick(kNodes) + " " + pick(kHow);
+          break;
+        case 3:
+          body = "release " + shard + " " + pick(kNodes) + " " + pick(kWhy);
+          break;
+        case 4:
+          body = "complete " + shard;
+          break;
+        case 5:
+          body = "fail " + shard + " 42";
+          break;
+        case 6:
+          body = "publish " + pick(kKinds) + " " + key() + " " +
+                 support::hex16(gen());
+          break;
+        default:
+          body = "done";
+          break;
+      }
+    } else if (grammar == server) {
+      body = pick(std::array{"enqueue", "done", "fail"}) + " " + key();
+    } else {
+      body = "put " + pick(kKinds) + " " + key() + " " +
+             support::hex16(gen()) + " " + std::to_string(gen.below(100000)) +
+             " " + support::hex8(static_cast<std::uint32_t>(gen()));
+    }
+    j.records.push_back(std::move(body));
+  }
+  j.header = grammar == coordinator ? "coord v1 key " + support::hex16(gen())
+             : grammar == server    ? "serve v1"
+                                    : "axc-store-index v1";
+  return j;
+}
+
+std::string journal_text(const journal_corpus& j) {
+  std::string text = support::journal::encode(j.header);
+  for (const std::string& body : j.records) {
+    text += support::journal::encode(body);
+  }
+  return text;
+}
+
+/// Start offsets of the complete lines of `text`.
+std::vector<std::size_t> line_starts(const std::string& text) {
+  std::vector<std::size_t> starts;
+  for (std::size_t at = 0, nl; (nl = text.find('\n', at)) != text.npos;
+       at = nl + 1) {
+    starts.push_back(at);
+  }
+  return starts;
+}
+
+/// One to three seeded mutations: the byte flips, truncations and token
+/// edits of mutate(), a torn tail followed by a whole written record (the
+/// shape an append after a power loss leaves), a duplicated line, or a
+/// '\n' turned into CRLF.
+std::string mutate_journal(std::string text, const journal_corpus& j,
+                           rng& gen) {
+  const std::uint64_t rounds = 1 + gen.below(3);
+  for (std::uint64_t r = 0; r < rounds && !text.empty(); ++r) {
+    const std::vector<std::size_t> starts = line_starts(text);
+    const std::uint64_t op = gen.below(4);
+    if (op == 0 || starts.empty()) {
+      text = mutate(std::move(text), gen);
+    } else if (op == 1) {
+      text.resize(gen.below(text.size()));
+      if (gen.chance(0.7)) {
+        const std::size_t pick = gen.below(j.records.size() + 1);
+        if (!text.empty() && text.back() != '\n') text += '\n';
+        text += support::journal::encode(
+            pick == j.records.size() ? j.header : j.records[pick]);
+      }
+    } else if (op == 2) {
+      const std::size_t from = starts[gen.below(starts.size())];
+      const std::string line =
+          text.substr(from, text.find('\n', from) + 1 - from);
+      text.insert(starts[gen.below(starts.size())], line);
+    } else {
+      const std::size_t at = starts[gen.below(starts.size())];
+      text.insert(text.find('\n', at), "\r");
+    }
+  }
+  return text;
+}
+
+/// What a replay of `text` must hand over, worked out without any CRC: the
+/// bodies of its complete lines that are byte-identical to a line the
+/// corpus wrote (header included), in order, when its first line is the
+/// header; nullopt when it is not.
+std::optional<std::vector<std::string>> intact_bodies(
+    const std::string& text, const journal_corpus& j) {
+  std::map<std::string, std::string> written;
+  written.emplace(support::journal::encode(j.header), j.header);
+  for (const std::string& body : j.records) {
+    written.emplace(support::journal::encode(body), body);
+  }
+  const std::vector<std::size_t> starts = line_starts(text);
+  const auto line_at = [&](std::size_t i) {
+    return text.substr(starts[i], text.find('\n', starts[i]) + 1 - starts[i]);
+  };
+  if (starts.empty() || line_at(0) != support::journal::encode(j.header)) {
+    return std::nullopt;
+  }
+  std::vector<std::string> bodies;
+  for (std::size_t i = 1; i < starts.size(); ++i) {
+    const auto hit = written.find(line_at(i));
+    if (hit != written.end()) bodies.push_back(hit->second);
+  }
+  return bodies;
+}
+
+TEST(parse_fuzz, mutated_journals_replay_exactly_their_intact_lines) {
+  rng gen(0x10C4A1);
+  constexpr int kCases = 6000;
+  std::size_t foreign = 0, salvaged = 0, clean = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const auto grammar = static_cast<journal_grammar>(i % 3);
+    const journal_corpus j = random_journal(gen, grammar);
+    const std::string input = mutate_journal(journal_text(j), j, gen);
+    std::vector<std::string> got;
+    const auto replayed = support::journal::replay(
+        input, j.header,
+        [&](std::string_view body) { got.emplace_back(body); });
+    const auto want = intact_bodies(input, j);
+    ASSERT_EQ(replayed.has_value(), want.has_value())
+        << "case " << i << "\n" << input;
+    if (!replayed) {
+      ++foreign;
+      continue;
+    }
+    EXPECT_EQ(got, *want) << "case " << i << "\n" << input;
+    // The consumed prefix ends at the last newline; the tail never counts.
+    EXPECT_EQ(replayed->end, input.rfind('\n') + 1) << "case " << i;
+    EXPECT_EQ(replayed->last_line, line_starts(input).back()) << "case " << i;
+    ++(replayed->damaged ? salvaged : clean);
+  }
+  // The corpus must exercise every outcome, or the loop proves nothing.
+  EXPECT_GT(foreign, 100u);
+  EXPECT_GT(salvaged, 500u);
+  EXPECT_GT(clean, 100u);
+  std::printf("foreign %zu, salvaged %zu, clean %zu\n", foreign, salvaged,
+              clean);
+}
+
+TEST(parse_fuzz, a_store_opened_on_a_mutated_index_maps_only_intact_records) {
+  rng gen(0x570BE);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("axc-fuzz-store-" + std::to_string(::getpid()));
+  constexpr int kCases = 1000;
+  std::size_t mapped = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const journal_corpus j = random_journal(gen, store_index);
+    const std::string input = mutate_journal(journal_text(j), j, gen);
+    // No objects: a foreign index rebuilds to an empty store.
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    std::filesystem::create_directories(dir, ec);
+    {
+      std::ofstream os(dir / "index.axc", std::ios::binary);
+      os << input;
+    }
+    // Later records win per (kind, key); the header may be duplicated
+    // into the records, where it is no `put` and maps nothing.
+    std::map<std::pair<std::string, std::string>, std::string> want;
+    for (const std::string& body :
+         intact_bodies(input, j).value_or(std::vector<std::string>{})) {
+      support::token_reader r(body);
+      std::string tag, kind, key;
+      if (r >> tag >> kind >> key && tag == "put") want[{kind, key}] = body;
+    }
+    const auto store = core::result_store::open(dir.string());
+    ASSERT_TRUE(store.has_value()) << "case " << i;
+    std::map<std::pair<std::string, std::string>, std::string> got;
+    for (const core::store_entry& e : store->entries()) {
+      got[{e.kind, e.key}] = "put " + e.kind + " " + e.key + " " +
+                             support::hex16(e.hash) + " " +
+                             std::to_string(e.size) + " " +
+                             support::hex8(e.payload_crc);
+    }
+    EXPECT_EQ(got, want) << "case " << i << "\n" << input;
+    mapped += got.size();
+  }
+  EXPECT_GT(mapped, 2000u);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

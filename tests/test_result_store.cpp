@@ -4,7 +4,8 @@
 // bytes — plus the degraded-open paths (index deleted, index records
 // damaged), put idempotence, gc of superseded objects, the injected
 // transient put failure, the mid-index-append crash window (a gtest
-// death test around the store's _Exit(44) fault point), and refresh():
+// death test around the store's _Exit(44) fault point), a put after a
+// torn index tail surviving reopen and gc, and refresh():
 // a long-lived reader following another instance's puts, gcs, scrubs and
 // torn appends must always see what a fresh open() sees.
 #include <gtest/gtest.h>
@@ -458,6 +459,32 @@ TEST(result_store, refresh_matches_a_fresh_open_under_random_interleavings) {
   EXPECT_GT(torn, 0u);
   EXPECT_GT(scrubbed, 0u);
   EXPECT_GT(collected, 0u);
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(result_store, put_after_a_torn_tail_survives_reopen_and_gc) {
+  // A power loss (or ENOSPC) mid-append leaves a newline-less fragment at
+  // the end of the index.  The next put on a handle that never reopened
+  // must not glue its record onto that fragment: the record would fail its
+  // CRC on every later open, and gc would delete the object it names.
+  const std::string dir = fresh_store_dir("torn-then-put");
+  auto store = result_store::open(dir);
+  ASSERT_TRUE(store.has_value());
+  ASSERT_TRUE(store->put("front", "aaaa", "payload-a").has_value());
+  append_bytes(fs::path(dir) / "index.axc", "put front ccc");
+  ASSERT_TRUE(store->put("front", "bbbb", "payload-b").has_value());
+
+  store_open_report report;
+  auto reopened = result_store::open(dir, &report);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_TRUE(report.index_salvaged);  // the fragment is one damaged line
+  EXPECT_EQ(report.entries, 2u);
+  EXPECT_TRUE(reopened->contains("front", "bbbb"));
+  EXPECT_EQ(reopened->gc().objects_removed, 0u);
+  EXPECT_EQ(reopened->get("front", "aaaa"), "payload-a");
+  EXPECT_EQ(reopened->get("front", "bbbb"), "payload-b");
 
   std::error_code ec;
   fs::remove_all(dir, ec);

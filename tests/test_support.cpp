@@ -13,7 +13,10 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "support/checksum.h"
+#include "support/journal.h"
 #include "support/rng.h"
 #include "support/subprocess.h"
 #include "support/tokens.h"
@@ -355,6 +358,123 @@ TEST(token_reader, failure_is_sticky) {
   unsigned next = 0;
   EXPECT_FALSE(r >> next);  // "8" is never consumed after a failure
   EXPECT_EQ(next, 0u);
+}
+
+TEST(hex, lowercase_fixed_width_round_trip) {
+  EXPECT_EQ(support::hex16(0x1f2e3d4c5b6a7988ULL), "1f2e3d4c5b6a7988");
+  EXPECT_EQ(support::hex16(0), "0000000000000000");
+  EXPECT_EQ(support::hex8(0xCBF43926u), "cbf43926");
+  EXPECT_EQ(support::hex8(7), "00000007");
+  EXPECT_EQ(support::parse_hex("1f2e3d4c5b6a7988"), 0x1f2e3d4c5b6a7988ULL);
+  EXPECT_EQ(support::parse_hex("ffffffffffffffff"), ~std::uint64_t{0});
+  EXPECT_EQ(support::parse_hex("7"), 7u);
+  for (const char* bad : {"", "ABCD", "0x12", "-1", "+1", " 1", "1 ", "g",
+                          "11111111111111111"}) {
+    EXPECT_FALSE(support::parse_hex(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(support::parse_crc("cbf43926"), 0xCBF43926u);
+  for (const char* bad : {"cbf4392", "0cbf43926", "CBF43926", "cbf4392 "}) {
+    EXPECT_FALSE(support::parse_crc(bad).has_value()) << bad;
+  }
+}
+
+TEST(journal, line_round_trips_and_rejects_any_other_suffix) {
+  namespace journal = support::journal;
+  EXPECT_EQ(journal::encode("serve v1"),
+            "serve v1 crc " + support::hex8(support::crc32("serve v1")) + "\n");
+  for (const std::string body : {"", "done", "put a b c crc d"}) {
+    const std::string line = journal::encode(body);
+    const std::string_view framed(line.data(), line.size() - 1);
+    EXPECT_EQ(journal::decode(framed), std::string_view(body));
+  }
+  const std::string line = journal::encode("spawn 0 1");
+  const std::string_view framed(line.data(), line.size() - 1);
+  EXPECT_FALSE(journal::decode(line).has_value());  // the '\n' is not body
+  EXPECT_FALSE(journal::decode(std::string(framed) + "\r").has_value());
+  EXPECT_FALSE(journal::decode(framed.substr(1)).has_value());
+  EXPECT_FALSE(
+      journal::decode(framed.substr(0, framed.size() - 1)).has_value());
+  EXPECT_EQ(journal::decode("123456789 crc cbf43926"), "123456789");
+  EXPECT_FALSE(journal::decode("123456789 crc CBF43926").has_value());
+  EXPECT_FALSE(journal::decode("123456789  crc cbf43926").has_value());
+}
+
+TEST(journal, replay_checks_the_header_and_salvages_damaged_lines) {
+  namespace journal = support::journal;
+  const std::string header = journal::encode("hdr v1 key 01");
+  const std::string a = journal::encode("rec a");
+  const std::string b = journal::encode("rec b");
+  std::string damaged = journal::encode("rec x");
+  damaged[1] ^= 0x20;
+  const auto bodies_of = [](std::string_view bytes, std::string_view hdr) {
+    std::vector<std::string> bodies;
+    const auto r = journal::replay(bytes, hdr, [&](std::string_view body) {
+      bodies.emplace_back(body);
+    });
+    return std::make_pair(r, bodies);
+  };
+
+  const std::string text = header + a + damaged + "\n" + b + "rec c cr";
+  const auto [r, bodies] = bodies_of(text, "hdr v1 key 01");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(bodies, (std::vector<std::string>{"rec a", "rec b"}));
+  EXPECT_TRUE(r->damaged);  // the flipped line; the empty line is not damage
+  EXPECT_EQ(r->end, text.size() - 8);  // the torn tail stays unread
+  EXPECT_EQ(r->last_line, r->end - b.size());
+
+  // Header alone: it is the last complete line.
+  const auto only = bodies_of(header, "hdr v1 key 01").first;
+  ASSERT_TRUE(only.has_value());
+  EXPECT_EQ(only->end, header.size());
+  EXPECT_EQ(only->last_line, 0u);
+  EXPECT_FALSE(only->damaged);
+
+  // The header is compared byte for byte: another key, a CRLF header, a
+  // damaged or missing header are all foreign journals.
+  EXPECT_FALSE(bodies_of(text, "hdr v1 key 02").first.has_value());
+  std::string crlf = header;
+  crlf.insert(crlf.size() - 1, "\r");
+  EXPECT_FALSE(bodies_of(crlf + a, "hdr v1 key 01").first.has_value());
+  EXPECT_FALSE(bodies_of(damaged + a, "rec x").first.has_value());
+  EXPECT_FALSE(bodies_of(a + header, "hdr v1 key 01").first.has_value());
+  EXPECT_FALSE(bodies_of("", "hdr v1 key 01").first.has_value());
+
+  // scan() from the middle: nothing new reports no last line.
+  const auto rest = journal::scan(text, text.size() - 8, [](auto) {
+    ADD_FAILURE() << "a torn tail is not a record";
+  });
+  EXPECT_EQ(rest.end, text.size() - 8);
+  EXPECT_EQ(rest.last_line, std::string_view::npos);
+}
+
+TEST(journal, a_record_appended_after_a_torn_tail_replays) {
+  namespace journal = support::journal;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("axc-journal-test-" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove(path);
+  ASSERT_TRUE(journal::append(path, "rec 1"));  // created on first append
+  {
+    // A power loss mid-append: half a record, no newline.
+    std::FILE* f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fputs("rec 2 crc 1234", f);
+    std::fclose(f);
+  }
+  ASSERT_TRUE(journal::append(path, "rec 3"));
+  ASSERT_TRUE(journal::append(path, "rec 4"));
+  const std::string bytes = journal::load(path);
+  EXPECT_EQ(bytes, journal::encode("rec 1") + "rec 2 crc 1234\n" +
+                       journal::encode("rec 3") + journal::encode("rec 4"));
+  std::vector<std::string> bodies;
+  const auto r = journal::scan(bytes, 0, [&](std::string_view body) {
+    bodies.emplace_back(body);
+  });
+  EXPECT_EQ(bodies, (std::vector<std::string>{"rec 1", "rec 3", "rec 4"}));
+  EXPECT_TRUE(r.damaged);
+  EXPECT_EQ(r.end, bytes.size());
+  std::filesystem::remove(path);
 }
 
 #if AXC_HAS_SUBPROCESS
