@@ -39,8 +39,9 @@ cgp::parameters make_params(const circuit::netlist& seed,
   return p;
 }
 
-cgp::evolver::evaluate_fn make_objective(metrics::wmed_evaluator& eval,
-                                         double target) {
+/// The annealer's Eq.-1 objective over decoded netlists.
+cgp::annealer::evaluate_fn make_objective(metrics::wmed_evaluator& eval,
+                                          double target) {
   return [&eval, target](const circuit::netlist& nl) -> cgp::evaluation {
     cgp::evaluation e;
     e.error = eval.evaluate(nl, target);
@@ -61,6 +62,15 @@ int main() {
 
   metrics::wmed_evaluator eval(s.spec, s.d);
   const auto objective = make_objective(eval, s.target);
+  // The ES arms score mutants through the search's own incremental
+  // pipeline, sharing the reporting evaluator's tables.
+  const auto es_run = [&](const cgp::genotype& start,
+                          const cgp::evolver::options& eopts, rng& g) {
+    const auto evaluator =
+        core::make_incremental_wmed_evaluator<metrics::mult_spec>(
+            eval.shared(), tech::cell_library::nangate45_like(), s.target);
+    return cgp::evolver::run_incremental(start, *evaluator, eopts, g);
+  };
   const double seed_area = tech::estimate_area(
       mult::signed_multiplier(8), tech::cell_library::nangate45_like());
   std::printf("target WMED %.2f%%, budget %zu evaluations, exact area %.0f\n\n",
@@ -85,12 +95,12 @@ int main() {
     eopts.error_tiebreak = false;
     rng g1(1);
     report("(1+4) ES, plain Eq. 1",
-           cgp::evolver::run(start, objective, eopts, g1).best.decode());
+           es_run(start, eopts, g1).best.decode());
 
     eopts.error_tiebreak = true;
     rng g2(1);
     report("(1+4) ES, error tie-break",
-           cgp::evolver::run(start, objective, eopts, g2).best.decode());
+           es_run(start, eopts, g2).best.decode());
 
     cgp::annealer::options aopts;
     aopts.iterations = s.iterations * 4;  // match evaluation budget
@@ -114,7 +124,7 @@ int main() {
     eopts.iterations = s.iterations;
     eopts.error_tiebreak = true;
     rng g(1);
-    report(name, cgp::evolver::run(start, objective, eopts, g).best.decode());
+    report(name, es_run(start, eopts, g).best.decode());
   }
 
   // --- function set (same budget, BW ripple seed) ---
@@ -140,7 +150,7 @@ int main() {
     eopts.iterations = s.iterations;
     eopts.error_tiebreak = true;
     rng g(1);
-    report(name, cgp::evolver::run(start, objective, eopts, g).best.decode());
+    report(name, es_run(start, eopts, g).best.decode());
   }
   return 0;
 }

@@ -145,18 +145,6 @@ void bm_wmed_evaluate_scalar(benchmark::State& state) {
 }
 BENCHMARK(bm_wmed_evaluate_scalar);
 
-void bm_wmed_evaluate_reference(benchmark::State& state) {
-  // The pre-refactor sweep (simulate_block + per-assignment gather) on the
-  // same candidate — the baseline bm_wmed_evaluate is measured against.
-  const metrics::mult_spec spec{8, false};
-  metrics::wmed_evaluator evaluator(spec, dist::pmf::half_normal(256, 64.0));
-  const circuit::netlist nl = mult::truncated_multiplier(8, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate_reference(nl));
-  }
-}
-BENCHMARK(bm_wmed_evaluate_reference);
-
 void bm_wmed_evaluate_with_abort(benchmark::State& state) {
   const metrics::mult_spec spec{8, false};
   metrics::wmed_evaluator evaluator(spec, dist::pmf::half_normal(256, 64.0));
@@ -166,16 +154,6 @@ void bm_wmed_evaluate_with_abort(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_wmed_evaluate_with_abort);
-
-void bm_wmed_evaluate_reference_with_abort(benchmark::State& state) {
-  const metrics::mult_spec spec{8, false};
-  metrics::wmed_evaluator evaluator(spec, dist::pmf::half_normal(256, 64.0));
-  const circuit::netlist nl = mult::truncated_multiplier(8, 10);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate_reference(nl, 1e-5));
-  }
-}
-BENCHMARK(bm_wmed_evaluate_reference_with_abort);
 
 /// A realistic CGP search candidate: the exact multiplier seeded into a
 /// 460-column genotype (mostly inactive padding) and mutated — what the
@@ -206,17 +184,6 @@ void bm_wmed_evaluate_cgp_candidate(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_wmed_evaluate_cgp_candidate);
-
-void bm_wmed_evaluate_cgp_candidate_reference(benchmark::State& state) {
-  // Pre-refactor inner loop: full decode (padding included) + naive sweep.
-  const metrics::mult_spec spec{8, false};
-  metrics::wmed_evaluator evaluator(spec, dist::pmf::half_normal(256, 64.0));
-  const cgp::genotype g = search_candidate();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate_reference(g.decode()));
-  }
-}
-BENCHMARK(bm_wmed_evaluate_cgp_candidate_reference);
 
 void bm_cgp_mutate_decode(benchmark::State& state) {
   cgp::parameters params;

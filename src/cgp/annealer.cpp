@@ -13,7 +13,7 @@ double annealer::cost(const evaluation& e, const options& opts) {
 }
 
 annealer::run_result annealer::run(const genotype& seed,
-                                   const evolver::evaluate_fn& evaluate,
+                                   const evaluate_fn& evaluate,
                                    const options& opts, rng& gen) {
   AXC_EXPECTS(evaluate != nullptr);
   AXC_EXPECTS(opts.iterations > 0);

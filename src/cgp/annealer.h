@@ -9,13 +9,19 @@
 // the two search paradigms at equal evaluation budget.
 #pragma once
 
+#include <functional>
+
 #include "cgp/evolver.h"
 #include "cgp/genotype.h"
+#include "circuit/netlist.h"
 
 namespace axc::cgp {
 
 class annealer {
  public:
+  /// Scores one decoded candidate (Eq. 1).
+  using evaluate_fn = std::function<evaluation(const circuit::netlist&)>;
+
   struct options {
     std::size_t iterations{10000};
     /// Start temperature as a fraction of the seed's cost (relative scale
@@ -40,7 +46,7 @@ class annealer {
   static double cost(const evaluation& e, const options& opts);
 
   static run_result run(const genotype& seed,
-                        const evolver::evaluate_fn& evaluate,
+                        const evaluate_fn& evaluate,
                         const options& opts, rng& gen);
 };
 

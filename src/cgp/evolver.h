@@ -16,7 +16,6 @@
 #include <span>
 
 #include "cgp/genotype.h"
-#include "circuit/netlist.h"
 #include "support/rng.h"
 
 namespace axc::cgp {
@@ -100,7 +99,6 @@ class incremental_evaluator {
 
 class evolver {
  public:
-  using evaluate_fn = std::function<evaluation(const circuit::netlist&)>;
   /// Called whenever the parent strictly improves.
   using progress_fn =
       std::function<void(std::size_t iteration, const evaluation&)>;
@@ -140,18 +138,12 @@ class evolver {
   };
 
   /// Runs the (1 + lambda) ES from `seed`; lambda and mutation strength
-  /// come from the genotype's parameters.  Candidates are decoded with
-  /// genotype::decode_cone(), so evaluators only ever see the active cone
-  /// (function-identical to the full decode; area metrics that mask
-  /// inactive gates are unaffected).
-  static run_result run(const genotype& seed, const evaluate_fn& evaluate,
-                        const options& opts, rng& gen);
-
-  /// (1 + lambda) over the genotype-native incremental pipeline: mutants
-  /// are never decoded to netlists; `evaluator` keeps the parent's compiled
-  /// schedule and receives (parent, child, dirty genes, the parent's
-  /// bound_for()) for each mutant in turn.  Given a conforming evaluator the
-  /// result is bit-identical to run() over full per-mutant recompilation.
+  /// come from the genotype's parameters.  Mutants are never decoded to
+  /// netlists here: `evaluator` keeps the parent's compiled schedule and
+  /// receives (parent, child, dirty genes, the parent's bound_for()) for
+  /// each mutant in turn.  Given a conforming evaluator the result is
+  /// bit-identical to a plain copy-mutate-score loop over from-scratch
+  /// evaluations (tests/test_util.h keeps one as the oracle).
   static run_result run_incremental(const genotype& seed,
                                     incremental_evaluator& evaluator,
                                     const options& opts, rng& gen);

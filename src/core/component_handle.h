@@ -95,9 +95,9 @@ class component_handle {
 
   /// Hash of every result-affecting config knob (spec shape, distribution,
   /// search budget, RNG seed, function set, tie-break policy) — NOT of the
-  /// bit-identical execution knobs (incremental, simd).  Checkpoints
-  /// embed this so resuming against a subtly different search is rejected
-  /// instead of silently mixing incompatible jobs.
+  /// bit-identical execution knob (simd).  Checkpoints embed this so
+  /// resuming against a subtly different search is rejected instead of
+  /// silently mixing incompatible jobs.
   [[nodiscard]] std::uint64_t fingerprint() const {
     return get().fingerprint();
   }
@@ -203,6 +203,12 @@ class component_handle {
       mix(config.lambda);
       mix(config.rng_seed);
       mix(static_cast<std::uint64_t>(config.error_tiebreak));
+      // Below width 6 WMED is the per-operand fixed-order reduction of the
+      // bit-plane sweep, whose last bits differ from the natural-order sum
+      // earlier checkpoints and store entries were searched with; the fold
+      // rejects those instead of mixing them.  Width >= 6 keys never moved.
+      constexpr std::uint64_t kSmallWidthSweep = 0x736d616c6c2d7732ULL;
+      if (config.spec.width < 6) mix(kSmallWidthSweep);
       for (std::size_t a = 0; a < config.distribution.size(); ++a) {
         mix(std::bit_cast<std::uint64_t>(config.distribution[a]));
       }
@@ -266,8 +272,7 @@ struct component_options {
   unsigned max_mutations{5};
   std::size_t lambda{4};
   bool error_tiebreak{true};
-  bool incremental{true};
-  /// Scan kernel backend (bit-identical execution knob, like `incremental`).
+  /// Scan kernel backend (bit-identical execution knob).
   simd::level simd{simd::level::automatic};
   std::uint64_t rng_seed{1};
   const tech::cell_library* library{&tech::cell_library::nangate45_like()};

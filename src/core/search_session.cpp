@@ -35,7 +35,8 @@ std::nullopt_t resume_error(const char* what) {
   return std::nullopt;
 }
 
-constexpr std::string_view kMagicV1 = "axc-session v1";
+/// The pre-CRC format; recognized only to name it when rejecting it.
+constexpr std::string_view kRetiredMagic = "axc-session v1";
 constexpr std::string_view kMagicV2 = "axc-session v2";
 
 /// Plan-size sanity bound for resume(): far above any real sweep (the
@@ -472,143 +473,16 @@ std::optional<search_session> search_session::resume(
   text_lines cur{text};
   const auto magic = cur.next();
   if (!magic) return resume_error("empty checkpoint");
-  if (magic->line == kMagicV1) {
+  if (magic->line == kRetiredMagic) {
     if (report) report->version = 1;
-    std::istringstream v1(text);
-    std::string discard;
-    std::getline(v1, discard);  // past the magic line
-    auto session = resume_v1(v1, std::move(component), std::move(options));
-    if (session && report) report->jobs_recovered = session->completed_jobs();
-    return session;
+    return resume_error(
+        "checkpoint v1 is no longer readable; re-run the sweep");
   }
   if (magic->line == kMagicV2) {
     if (report) report->version = 2;
     return resume_v2(text, std::move(component), std::move(options), report);
   }
   return resume_error("bad magic line");
-}
-
-std::optional<search_session> search_session::resume_v1(
-    std::istream& is, component_handle component, session_config options) {
-  std::string line;
-
-  // `read_field("key", value)`: one "key value" line, keyword-checked.
-  const auto read_field = [&is, &line](const char* key, auto& value) {
-    if (!std::getline(is, line)) return false;
-    std::istringstream ls(line);
-    std::string k;
-    return static_cast<bool>(ls >> k >> value) && k == key;
-  };
-
-  std::string name;
-  if (!read_field("component", name)) {
-    return resume_error("missing component line");
-  }
-  if (name != component.name()) {
-    return resume_error("component name does not match the handle");
-  }
-  unsigned width = 0;
-  if (!read_field("width", width) || width != component.width()) {
-    return resume_error("component width does not match the handle");
-  }
-  std::uint64_t rng_seed = 0;
-  if (!read_field("rng-seed", rng_seed) ||
-      rng_seed != component.rng_seed()) {
-    return resume_error("rng seed does not match the handle");
-  }
-  std::size_t iterations = 0;
-  if (!read_field("iterations", iterations) ||
-      iterations != component.iterations()) {
-    return resume_error("iteration budget does not match the handle");
-  }
-  std::uint64_t fingerprint = 0;
-  if (!read_field("fingerprint", fingerprint) ||
-      fingerprint != component.fingerprint()) {
-    return resume_error(
-        "config fingerprint does not match the handle (distribution, "
-        "budget, function set or tie-break policy differ)");
-  }
-
-  sweep_plan plan;
-  if (!read_field("runs-per-target", plan.runs_per_target) ||
-      plan.runs_per_target > kMaxPlanEntries) {
-    return resume_error("bad runs-per-target line");
-  }
-  {
-    if (!std::getline(is, line)) return resume_error("missing targets line");
-    std::istringstream ls(line);
-    std::string k;
-    std::size_t count = 0;
-    if (!(ls >> k >> count) || k != "targets" || count > kMaxPlanEntries) {
-      return resume_error("bad targets line");
-    }
-    plan.targets.resize(count);
-    for (double& target : plan.targets) {
-      if (!(ls >> target)) return resume_error("truncated targets line");
-    }
-  }
-  if (plan.runs_per_target != 0 &&
-      plan.targets.size() > kMaxPlanEntries / plan.runs_per_target) {
-    return resume_error("plan expansion too large");
-  }
-
-  if (!std::getline(is, line) || line != "seed-netlist") {
-    return resume_error("missing seed-netlist section");
-  }
-  std::optional<circuit::netlist> seed = circuit::read_netlist(is);
-  if (!seed) return resume_error("malformed seed netlist");
-  if (seed->num_inputs() != component.seed_inputs() ||
-      seed->num_outputs() != component.seed_outputs()) {
-    return resume_error("seed netlist shape does not match the component");
-  }
-
-  std::size_t completed = 0;
-  if (!read_field("completed", completed)) {
-    return resume_error("bad completed line");
-  }
-
-  auto state = std::make_unique<impl>(std::move(component), *std::move(seed),
-                                      std::move(plan), std::move(options));
-  if (completed > state->jobs.size()) {
-    return resume_error("completed count exceeds the plan");
-  }
-
-  for (std::size_t j = 0; j < completed; ++j) {
-    if (!std::getline(is, line)) return resume_error("truncated job record");
-    std::istringstream ls(line);
-    std::string k0, k1, k2, k3, k4, k5, k6;
-    std::size_t id = 0, run_index = 0, evaluations = 0, improvements = 0;
-    double target = 0.0, wmed = 0.0, area = 0.0;
-    if (!(ls >> k0 >> id >> k1 >> target >> k2 >> run_index >> k3 >> wmed >>
-          k4 >> area >> k5 >> evaluations >> k6 >> improvements) ||
-        k0 != "job" || k1 != "target" || k2 != "run" || k3 != "wmed" ||
-        k4 != "area" || k5 != "evaluations" || k6 != "improvements") {
-      return resume_error("malformed job record");
-    }
-    if (id >= state->jobs.size() || state->results[id].has_value()) {
-      return resume_error("job record id out of range or duplicated");
-    }
-    if (target != state->jobs[id].target ||
-        run_index != state->jobs[id].run_index) {
-      return resume_error("job record does not match the plan expansion");
-    }
-    std::optional<circuit::netlist> nl = circuit::read_netlist(is);
-    if (!nl) return resume_error("malformed job netlist");
-    if (nl->num_inputs() != state->seed.num_inputs() ||
-        nl->num_outputs() != state->seed.num_outputs()) {
-      return resume_error("job netlist shape does not match the component");
-    }
-    state->archive.insert(pareto_point{wmed, area, id});
-    state->results[id] = evolved_design{*std::move(nl), wmed,       area,
-                                        target,         run_index,  evaluations,
-                                        improvements};
-  }
-  state->completed.store(completed, std::memory_order_relaxed);
-
-  if (!std::getline(is, line) || line != "end") {
-    return resume_error("missing end marker");
-  }
-  return search_session(std::move(state));
 }
 
 std::optional<search_session> search_session::resume_v2(

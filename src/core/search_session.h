@@ -34,8 +34,8 @@
 // mid-save can never clobber the previous good checkpoint.  resume()
 // *salvages* truncated or corrupted v2 files: every job record whose CRC
 // checks out is restored, damaged records are dropped (they simply re-run)
-// — only a damaged header rejects the file.  v1 checkpoints remain
-// readable with their original strict semantics.  session_config grows
+// — only a damaged header rejects the file.  The pre-CRC v1 format is
+// rejected with a named error (re-run the sweep).  session_config grows
 // autosave knobs so long sweeps persist progress without any caller code.
 //
 // The legacy one-shot APIs (basic_wmed_approximator::approximate/sweep)
@@ -129,7 +129,8 @@ struct session_config {
 /// never depends on it).  `salvaged` means the file was damaged and the
 /// intact prefix/records were recovered instead of rejecting the file.
 struct resume_report {
-  unsigned version{0};  ///< checkpoint format version (1 or 2)
+  /// Checkpoint format version: 2, or 1 for a rejected pre-CRC file.
+  unsigned version{0};
   bool salvaged{false};
   std::size_t jobs_recovered{0};
   std::size_t jobs_dropped{0};  ///< corrupt/truncated records skipped
@@ -216,11 +217,8 @@ class search_session {
   struct impl;
   explicit search_session(std::unique_ptr<impl> state);
 
-  /// Format-version parsers behind resume(): v1 streams strictly (the
-  /// pre-CRC format has no section boundaries to salvage at); v2 parses
-  /// from memory with per-section CRC checks and record-level salvage.
-  [[nodiscard]] static std::optional<search_session> resume_v1(
-      std::istream& is, component_handle component, session_config options);
+  /// The v2 parser behind resume(): parses from memory with per-section
+  /// CRC checks and record-level salvage.
   [[nodiscard]] static std::optional<search_session> resume_v2(
       const std::string& text, component_handle component,
       session_config options, resume_report* report);

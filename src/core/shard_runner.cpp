@@ -268,7 +268,9 @@ void sweep_spec::write(std::ostream& os) const {
   os << "max-mutations " << options.max_mutations << "\n";
   os << "lambda " << options.lambda << "\n";
   os << "error-tiebreak " << (options.error_tiebreak ? 1 : 0) << "\n";
-  os << "incremental " << (options.incremental ? 1 : 0) << "\n";
+  // Vestigial: every search runs the incremental pipeline; the line keeps
+  // the v2 grammar byte for byte.
+  os << "incremental 1\n";
   os << "rng-seed " << options.rng_seed << "\n";
   os << "distribution " << options.distribution.size();
   for (const double mass : options.distribution.masses()) {
@@ -394,10 +396,10 @@ std::optional<sweep_spec> sweep_spec::parse(std::istream& is) {
     return spec_error("missing error-tiebreak line");
   }
   spec.options.error_tiebreak = flag != 0;
+  // Vestigial (see write()): required, value ignored.
   if (!read_field("incremental", flag)) {
     return spec_error("missing incremental line");
   }
-  spec.options.incremental = flag != 0;
   if (!read_field("rng-seed", spec.options.rng_seed)) {
     return spec_error("missing rng-seed line");
   }

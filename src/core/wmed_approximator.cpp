@@ -25,9 +25,9 @@ constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 /// patch the parent's cone schedule, estimate area straight from the active
 /// gate functions, run the bit-plane sweep with early abort at the tightest
 /// bound under which the mutant could still replace its parent.  Every
-/// result is bit-identical to scoring decode_cone() through the
-/// netlist-based evaluator, or evaluation::dominated() for a mutant whose
-/// exact score ranks strictly below the parent (tested in
+/// result is bit-identical to scoring decode_cone() through
+/// basic_wmed_evaluator::evaluate(), or evaluation::dominated() for a
+/// mutant whose exact score ranks strictly below the parent (tested in
 /// tests/test_incremental_eval.cpp).
 template <metrics::component_spec Spec>
 class incremental_wmed final : public cgp::incremental_evaluator {
@@ -124,7 +124,7 @@ class incremental_wmed final : public cgp::incremental_evaluator {
   /// per-operand reduction W; the two round differently, so aborting at
   /// `error` itself could screen out a mutant whose W equals it.  Let S be
   /// the exact real sum of the weighted errors, N = block_count (the terms
-  /// of acc; W has 2^w <= N terms on the fast path), u = 2^-53,
+  /// of acc; W has 2^w <= N terms), u = 2^-53,
   /// gamma = N u / (1 - N u) and d = denorm_min (a product may underflow by
   /// up to d / 2).  Both sums of non-negative terms lie within
   /// gamma * S + N * d of S, and acc only grows, so an abort at a partial
@@ -217,9 +217,6 @@ std::optional<evolved_design> run_search_job(
   const cgp::genotype start =
       cgp::genotype::from_netlist(params, seed, gen);
 
-  metrics::basic_wmed_evaluator<Spec> wmed(cache, config.simd);
-  const tech::cell_library* lib = config.library;
-
   cgp::evolver::options opts;
   opts.iterations = config.iterations;
   opts.error_tiebreak = config.error_tiebreak;
@@ -227,35 +224,19 @@ std::optional<evolved_design> run_search_job(
   opts.on_generation = hooks.on_generation;
   opts.should_stop = hooks.should_stop;
 
-  cgp::evolver::run_result run = [&] {
-    if (config.incremental && config.spec.width >= 6) {
-      // Genotype-native pipeline: mutants never round-trip through a
-      // netlist; the parent's compiled schedule is shared and patched.
-      const auto evaluator = make_incremental_wmed_evaluator<Spec>(
-          cache, *lib, target, config.simd);
-      return cgp::evolver::run_incremental(start, *evaluator, opts, gen);
-    }
-
-    // Netlist-based fallback (small widths and parity testing).  Eq. 1
-    // scoring as above, with the sweep aborting at the target.
-    return cgp::evolver::run(
-        start,
-        [&wmed, lib, target](const circuit::netlist& nl) {
-          cgp::evaluation eval;
-          eval.error = wmed.evaluate(nl, target);
-          eval.feasible = eval.error <= target;
-          eval.area = eval.feasible ? tech::estimate_area(nl, *lib) : 0.0;
-          return eval;
-        },
-        opts, gen);
-  }();
-
+  // Genotype-native pipeline: mutants never round-trip through a netlist;
+  // the parent's compiled schedule is shared and patched.
+  const auto evaluator = make_incremental_wmed_evaluator<Spec>(
+      cache, *config.library, target, config.simd);
+  const cgp::evolver::run_result run =
+      cgp::evolver::run_incremental(start, *evaluator, opts, gen);
   if (run.stopped) return std::nullopt;
 
   evolved_design design{run.best.decode_cone(), 0.0, 0.0, target,
                         run_index, run.evaluations, run.improvements};
+  metrics::basic_wmed_evaluator<Spec> wmed(cache, config.simd);
   design.wmed = wmed.evaluate(design.netlist);
-  design.area_um2 = tech::estimate_area(design.netlist, *lib);
+  design.area_um2 = tech::estimate_area(design.netlist, *config.library);
   return design;
 }
 

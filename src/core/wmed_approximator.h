@@ -18,14 +18,14 @@
 // The search is parameterized by a metrics::component_spec, so multipliers
 // (mult_spec) and adders (adder_spec) share one implementation — both run
 // the bit-plane WMED sweep; no per-candidate 2^(2w) tables anywhere in the
-// inner loop.  For fast-path widths (>= 6) candidates are evaluated through
-// the genotype-native incremental pipeline (cgp::cone_program +
+// inner loop.  At every width candidates are evaluated through the
+// genotype-native incremental pipeline (cgp::cone_program +
 // evolver::run_incremental): mutants never materialize netlists, the
 // parent's compiled schedule is patched per mutant, phenotype-identical
 // mutants reuse the parent's score, and mutants that provably cannot
 // replace their parent skip or cut short the sweep (cgp::child_bound).  The
-// search is bit-identical to full per-mutant recompilation (`incremental`
-// toggles it for parity testing).
+// search is bit-identical to full per-mutant recompilation
+// (tests/test_incremental_eval.cpp checks it against a plain loop).
 #pragma once
 
 #include <cstdint>
@@ -70,15 +70,11 @@ struct basic_approximation_config {
   /// search budgets it steers the error budget into many small deviations,
   /// which application-level quality rewards.
   bool error_tiebreak{true};
-  /// Evaluate mutants through the genotype-native incremental pipeline
-  /// (fast-path widths only; smaller widths always use the netlist path).
-  /// Bit-identical either way — off is only useful for parity tests.
-  bool incremental{true};
   /// Scan kernel backend for the WMED sweep (metrics/scan_kernels.h).
   /// `automatic` resolves to the strongest compiled-in backend the CPU
   /// supports (AXC_SIMD environment override honoured); every level is
-  /// bit-identical, so like `incremental` this knob never changes results
-  /// and stays out of the checkpoint fingerprint.
+  /// bit-identical, so this knob never changes results and stays out of
+  /// the checkpoint fingerprint.
   simd::level simd{simd::level::automatic};
   std::vector<circuit::gate_fn> function_set{
       circuit::default_function_set().begin(),
@@ -195,8 +191,8 @@ extern template class basic_wmed_approximator<metrics::adder_spec>;
 using wmed_approximator = basic_wmed_approximator<metrics::mult_spec>;
 using adder_wmed_approximator = basic_wmed_approximator<metrics::adder_spec>;
 
-/// The incremental (genotype-native) evaluator the search uses when
-/// `incremental` is on: cone_program compile/patch + netlist-free area
+/// The incremental (genotype-native) evaluator the search scores every
+/// mutant with: cone_program compile/patch + netlist-free area
 /// estimation + bit-plane sweep with early abort at `target`, or earlier
 /// where the child_bound proves the mutant cannot replace its parent.
 /// Exposed for benches and parity tests.  `simd` picks the scan kernel backend

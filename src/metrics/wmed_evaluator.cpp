@@ -1,7 +1,6 @@
 #include "metrics/wmed_evaluator.h"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <utility>
 
@@ -14,7 +13,8 @@ std::shared_ptr<const typename basic_wmed_evaluator<Spec>::shared_state>
 basic_wmed_evaluator<Spec>::make_shared_state(const Spec& spec,
                                               const dist::pmf& d) {
   AXC_EXPECTS(d.size() == spec.operand_count());
-  AXC_EXPECTS(2 * spec.width >= 6);  // at least one full 64-wide block
+  // One block per operand A even at w = 3: 2^w blocks fill one pass.
+  AXC_EXPECTS(spec.width >= 3);
 
   auto state = std::make_shared<shared_state>();
   state->spec = spec;
@@ -23,24 +23,25 @@ basic_wmed_evaluator<Spec>::make_shared_state(const Spec& spec,
   state->weight.resize(d.size());
   for (std::size_t a = 0; a < d.size(); ++a) state->weight[a] = d[a] / denom;
 
-  if (spec.width < 6) {  // small widths use the reference sweep
-    state->exact = exact_result_table(spec);
-    return state;
-  }
   // The planes below encode the exact table; it is not kept resident.
   const std::vector<std::int64_t> exact = exact_result_table(spec);
 
   // --- operand-major exact result planes --------------------------------
   // Block index: (a << (w-6)) | bhi with bhi = operand B >> 6; the 64
   // in-word slots enumerate B's low six bits, so operand A is constant per
-  // block.
+  // block.  Below width 6 there is one block per a: the slots enumerate all
+  // of B's w bits (slot t holds B = t mod 2^w), each value of B repeated
+  // 2^(6-w) times, and the sweep shifts the repeats out of the block totals.
   const unsigned w = spec.width;
-  const std::size_t bhi_count = std::size_t{1} << (w - 6);
+  state->block_shift = w >= 6 ? w - 6 : 0;
+  state->total_shift = w >= 6 ? 0 : 6 - w;
+  const std::size_t bhi_count = std::size_t{1} << state->block_shift;
+  const std::size_t b_mask = spec.operand_count() - 1;
   state->planes = spec.result_bits() + 2;  // signed diff without wraparound
-  state->block_count = std::size_t{1} << (2 * w - 6);
-  // block_count is a power of two >= 64, so passes of kLanes blocks tile it
+  state->block_count = spec.operand_count() * bhi_count;
+  // block_count is a power of two >= 8, so passes of kLanes blocks tile it
   // exactly — the sweep has no tail pass.
-  static_assert((std::size_t{1} << 6) % kLanes == 0);
+  static_assert((std::size_t{1} << 3) % kLanes == 0);
   state->pass_count = state->block_count / kLanes;
   AXC_EXPECTS(state->planes <= kMaxScanPlanes);
 
@@ -50,10 +51,10 @@ basic_wmed_evaluator<Spec>::make_shared_state(const Spec& spec,
                                           0);
   for (std::size_t a = 0; a < spec.operand_count(); ++a) {
     for (std::size_t bhi = 0; bhi < bhi_count; ++bhi) {
-      const std::size_t block = (a << (w - 6)) | bhi;
+      const std::size_t block = (a << state->block_shift) | bhi;
       std::uint64_t* const pl = &block_planes[block * state->planes];
       for (std::size_t t = 0; t < 64; ++t) {
-        const std::size_t b_op = (bhi << 6) | t;
+        const std::size_t b_op = ((bhi << 6) | t) & b_mask;
         // Two's-complement bits sign-extend negative exact results across
         // all planes for free.
         const auto bits =
@@ -79,7 +80,8 @@ basic_wmed_evaluator<Spec>::make_shared_state(const Spec& spec,
   for (const std::uint32_t a : a_order) {
     for (std::size_t bhi = 0; bhi < bhi_count; ++bhi) {
       state->block_order.push_back(
-          static_cast<std::uint32_t>((std::size_t{a} << (w - 6)) | bhi));
+          static_cast<std::uint32_t>((std::size_t{a} << state->block_shift) |
+                                     bhi));
     }
   }
 
@@ -103,13 +105,13 @@ basic_wmed_evaluator<Spec>::make_shared_state(const Spec& spec,
       dst[p * kLanes + lane] = src[p];
     }
 
-    const std::size_t a = block >> (w - 6);
+    const std::size_t a = block >> state->block_shift;
     const std::size_t bhi = block & bhi_mask;
     std::uint64_t* const in = &state->input_planes[pass * 2 * w * kLanes];
     for (unsigned i = 0; i < w; ++i) {
       in[i * kLanes + lane] = (a >> i) & 1 ? ~std::uint64_t{0} : 0;
     }
-    for (unsigned j = 0; j < 6; ++j) {
+    for (unsigned j = 0; j < std::min(w, 6u); ++j) {
       in[(w + j) * kLanes + lane] = circuit::exhaustive_input_word(j, 0);
     }
     for (unsigned j = 6; j < w; ++j) {
@@ -165,11 +167,13 @@ double basic_wmed_evaluator<Spec>::sweep(circuit::sim_program<kLanes>& program,
   const std::uint64_t* in_planes = s.input_planes.data();
   const std::uint64_t* exact_planes = s.exact_planes.data();
   const std::uint32_t* order = s.block_order.data();
-  // block_order groups each operand A's 2^(w-6) blocks into one aligned
-  // run, so A's first visit position is the run start — assign there
-  // instead of zero-filling err_sums_ up front (the fill is a measurable
-  // fixed cost on the abort-dominated mutant path).
-  const std::size_t first_mask = (std::size_t{1} << (w - 6)) - 1;
+  // block_order groups each operand A's 2^block_shift blocks into one
+  // aligned run, so A's first visit position is the run start — assign
+  // there instead of zero-filling err_sums_ up front (the fill is a
+  // measurable fixed cost on the abort-dominated mutant path).
+  const unsigned block_shift = s.block_shift;
+  const unsigned total_shift = s.total_shift;
+  const std::size_t first_mask = (std::size_t{1} << block_shift) - 1;
   std::int64_t totals[kLanes];
 
   // Running abort accumulator; the completed sweep instead returns the
@@ -182,9 +186,14 @@ double basic_wmed_evaluator<Spec>::sweep(circuit::sim_program<kLanes>& program,
     program.run_in_place({in_planes + pass * in_stride, in_stride});
     kernel_(exact_planes + pass * planes * kLanes, out_rows_.data(), planes,
             no, sgn, totals);
+    // Below width 6 every B repeats 2^total_shift times within a block; the
+    // repeats sum to an exact multiple, so the shift divides exactly.
+    if (total_shift != 0) {
+      for (std::int64_t& total : totals) total >>= total_shift;
+    }
     for (std::size_t l = 0; l < kLanes; ++l) {
       const std::size_t pos = pass * kLanes + l;
-      const std::size_t a = order[pos] >> (w - 6);
+      const std::size_t a = order[pos] >> block_shift;
       if ((pos & first_mask) == 0) {
         err_sums_[a] = totals[l];
       } else {
@@ -200,8 +209,6 @@ double basic_wmed_evaluator<Spec>::sweep(circuit::sim_program<kLanes>& program,
 template <component_spec Spec>
 double basic_wmed_evaluator<Spec>::evaluate(const circuit::netlist& nl,
                                             double abort_above) {
-  if (shared_->spec.width < 6) return evaluate_reference(nl, abort_above);
-
   AXC_EXPECTS(nl.num_inputs() == 2 * shared_->spec.width);
   AXC_EXPECTS(nl.num_outputs() == shared_->spec.result_bits());
 
@@ -212,67 +219,11 @@ double basic_wmed_evaluator<Spec>::evaluate(const circuit::netlist& nl,
 template <component_spec Spec>
 double basic_wmed_evaluator<Spec>::evaluate_program(
     circuit::sim_program<kLanes>& program, double abort_above) {
-  AXC_EXPECTS(shared_->spec.width >= 6);
   AXC_EXPECTS(program.num_inputs() == 2 * shared_->spec.width);
   AXC_EXPECTS(program.num_outputs() == shared_->spec.result_bits());
   // External programs (cone_program) sweep on this evaluator's backend too.
   program.set_simd_level(simd_level_);
   return sweep(program, abort_above);
-}
-
-template <component_spec Spec>
-double basic_wmed_evaluator<Spec>::evaluate_reference(
-    const circuit::netlist& nl, double abort_above) {
-  const shared_state& s = *shared_;
-  AXC_EXPECTS(nl.num_inputs() == 2 * s.spec.width);
-  AXC_EXPECTS(nl.num_outputs() == s.spec.result_bits());
-
-  // Width >= 6 shares no exact table; build a private one on first use.
-  if (s.exact.empty() && reference_exact_.empty()) {
-    reference_exact_ = exact_result_table(s.spec);
-  }
-  const std::vector<std::int64_t>& exact =
-      s.exact.empty() ? reference_exact_ : s.exact;
-
-  const std::size_t ni = nl.num_inputs();
-  const std::size_t no = nl.num_outputs();
-  const std::size_t blocks = s.spec.pair_count() / 64;
-  const std::uint64_t a_mask = (std::uint64_t{1} << s.spec.width) - 1;
-
-  scratch_.resize(nl.num_signals());
-  in_words_.resize(ni);
-  out_words_.resize(no);
-
-  double acc = 0.0;
-  std::uint64_t raw[64];
-
-  for (std::size_t block = 0; block < blocks; ++block) {
-    for (std::size_t i = 0; i < ni; ++i) {
-      in_words_[i] = circuit::exhaustive_input_word(i, block);
-    }
-    circuit::simulate_block(nl, in_words_, out_words_, scratch_);
-
-    // Gather packed results for the 64 assignments of this block.
-    for (auto& r : raw) r = 0;
-    for (std::size_t o = 0; o < no; ++o) {
-      std::uint64_t w = out_words_[o];
-      while (w != 0) {
-        const int t = std::countr_zero(w);
-        w &= w - 1;
-        raw[t] |= std::uint64_t{1} << o;
-      }
-    }
-
-    const std::size_t base = block * 64;
-    for (std::size_t t = 0; t < 64; ++t) {
-      const std::size_t v = base + t;
-      const std::int64_t err = exact[v] - s.spec.result_value(raw[t]);
-      acc += s.weight[v & a_mask] *
-             static_cast<double>(err < 0 ? -err : err);
-    }
-    if (acc > abort_above) return acc;
-  }
-  return acc;
 }
 
 template class basic_wmed_evaluator<mult_spec>;

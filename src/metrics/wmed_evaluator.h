@@ -20,7 +20,7 @@
 // operand-major bit-plane sweep — the table-based adder path is thereby
 // retired from the search loop (tables remain the parity reference).
 //
-// The fast path (operand width >= 6) is built around four ideas:
+// Every operand width (3 and up) runs one sweep, built around four ideas:
 //
 //  1. *Operand-major enumeration.*  Operand B's low bits occupy the 64
 //     in-word assignment slots, so operand A — the operand the distribution
@@ -28,7 +28,10 @@
 //     error contribution then collapses to weight[a] * sum_t |err_t|, and
 //     sum_t |err_t| is computed entirely in bit-plane arithmetic (bitwise
 //     borrow-propagate subtract, conditional negate, popcount per plane):
-//     no per-assignment gather/transpose at all.
+//     no per-assignment gather/transpose at all.  Below width 6 a block
+//     holds all of B, each value repeated 2^(6-w) times, and the block
+//     total is shifted right by 6 - w — the weights are never divided, so
+//     subnormal masses keep every bit.
 //  2. *Cone-restricted wide-lane simulation* via circuit::sim_program<8>,
 //     skipping inactive CGP gates and evaluating 8 blocks per pass.
 //  3. *Batched, runtime-dispatched scoring.*  One scan_batch kernel call
@@ -55,7 +58,7 @@
 // netlist per mutant.
 //
 // The immutable inputs of the sweep (weights, exact and input bit planes,
-// block visit order; below width 6 the exact-result table itself) are split
+// block visit order) are split
 // into a ref-counted shared_state so a design-space sweep builds them once per
 // (spec, distribution) and shares them across every run's evaluators (see
 // core::search_session); the two-argument constructor keeps the old
@@ -95,14 +98,15 @@ class basic_wmed_evaluator {
     Spec spec{};
     /// weight[a] = D(a) / (2^w * output_scale) so WMED = sum weight[a]*|err|.
     std::vector<double> weight;
-    /// Exact-result table, kept only below width 6 (the reference sweep's
-    /// input).  At width >= 6 the exact planes encode it, and a resident
-    /// 2^(2w) int64 table would cost 512 KiB per process at w = 8.
-    std::vector<std::int64_t> exact;
 
-    // --- fast path (width >= 6) ---
     std::size_t planes{0};       ///< result_bits + 2: signed diff headroom
-    std::size_t block_count{0};  ///< 2^(2w-6), one operand A per block
+    /// Block index = (a << block_shift) | (B >> 6): max(w - 6, 0).
+    unsigned block_shift{0};
+    /// Right shift of each block total: the 2^(6-w) repeats of every B
+    /// below width 6, 0 from width 6 on.
+    unsigned total_shift{0};
+    /// 2^(w + block_shift), one operand A per block.
+    std::size_t block_count{0};
     std::size_t pass_count{0};   ///< block_count / lanes (lanes divides it)
     /// Sweep order: blocks of heavy-mass operands first.
     std::vector<std::uint32_t> block_order;
@@ -139,18 +143,11 @@ class basic_wmed_evaluator {
   double evaluate(const circuit::netlist& nl,
                   double abort_above = std::numeric_limits<double>::infinity());
 
-  /// The fast sweep over an already-compiled (or incrementally patched)
+  /// The same sweep over an already-compiled (or incrementally patched)
   /// program with 2w inputs and result_bits() outputs.  Bit-identical to
-  /// evaluate() on the netlist the program models.  Requires the fast path
-  /// (width >= 6).
+  /// evaluate() on the netlist the program models.
   double evaluate_program(
       circuit::sim_program<lanes>& program,
-      double abort_above = std::numeric_limits<double>::infinity());
-
-  /// The straightforward pre-refactor sweep (simulate_block + per-assignment
-  /// gather, natural block order).  Kept as the parity/benchmark baseline.
-  double evaluate_reference(
-      const circuit::netlist& nl,
       double abort_above = std::numeric_limits<double>::infinity());
 
   [[nodiscard]] const Spec& spec() const { return shared_->spec; }
@@ -180,14 +177,6 @@ class basic_wmed_evaluator {
   /// Candidate output plane rows inside the program's slot buffer (filled
   /// once per sweep via sim_program::output_rows).
   std::vector<const std::uint64_t*> out_rows_;
-
-  // --- reference path buffers (the point of keeping this a class) ---
-  /// Exact-result table at width >= 6, filled by the first
-  /// evaluate_reference() call (the shared state keeps none there).
-  std::vector<std::int64_t> reference_exact_;
-  std::vector<std::uint64_t> scratch_;
-  std::vector<std::uint64_t> in_words_;
-  std::vector<std::uint64_t> out_words_;
 };
 
 extern template class basic_wmed_evaluator<mult_spec>;
@@ -195,7 +184,7 @@ extern template class basic_wmed_evaluator<adder_spec>;
 
 /// The paper's primary workload: w x w multipliers.
 using wmed_evaluator = basic_wmed_evaluator<mult_spec>;
-/// The second component class: w + w adders on the same fast path.
+/// The second component class: w + w adders on the same sweep.
 using adder_wmed_evaluator = basic_wmed_evaluator<adder_spec>;
 
 }  // namespace axc::metrics

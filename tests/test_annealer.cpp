@@ -22,7 +22,7 @@ parameters toy_params() {
 }
 
 // Objective: output0 = a & b (feasible when exact), minimize active gates.
-evolver::evaluate_fn toy_objective() {
+annealer::evaluate_fn toy_objective() {
   return [](const circuit::netlist& nl) -> evaluation {
     std::size_t wrong = 0;
     for (std::uint64_t v = 0; v < 16; ++v) {

@@ -158,7 +158,7 @@ TEST(evolver_ordering, not_worse_accepts_equal) {
 }
 
 // Toy objective: make output 0 equal input 0 AND input 1 with minimal area.
-evolver::evaluate_fn toy_objective() {
+test::score_fn toy_objective() {
   return [](const circuit::netlist& nl) -> evaluation {
     std::size_t wrong = 0;
     for (std::uint64_t v = 0; v < 16; ++v) {
@@ -178,7 +178,7 @@ TEST(evolver, solves_toy_synthesis_problem) {
   const genotype seed = genotype::random(small_params(), gen);
   evolver::options opts;
   opts.iterations = 3000;
-  const auto result = evolver::run(seed, toy_objective(), opts, gen);
+  const auto result = test::evolve(seed, toy_objective(), opts, gen);
   EXPECT_TRUE(result.best_eval.feasible);
   EXPECT_LE(result.best_eval.area, 2.0);  // a single AND suffices
   EXPECT_EQ(result.evaluations, 1 + 3000 * 4);
@@ -189,7 +189,7 @@ TEST(evolver, neutral_drift_moves_recorded) {
   const genotype seed = genotype::random(small_params(), gen);
   evolver::options opts;
   opts.iterations = 500;
-  const auto result = evolver::run(seed, toy_objective(), opts, gen);
+  const auto result = test::evolve(seed, toy_objective(), opts, gen);
   // With inactive-node mutations, some accepted offspring tie the parent.
   EXPECT_GT(result.neutral_moves, 0u);
 }
@@ -200,7 +200,7 @@ TEST(evolver, deterministic_given_seed) {
     const genotype seed = genotype::random(small_params(), gen);
     evolver::options opts;
     opts.iterations = 300;
-    return evolver::run(seed, toy_objective(), opts, gen);
+    return test::evolve(seed, toy_objective(), opts, gen);
   };
   const auto a = run_once(42);
   const auto b = run_once(42);
@@ -216,7 +216,7 @@ TEST(evolver, should_stop_ends_run_early_with_best_so_far) {
   opts.iterations = 1000;
   std::size_t polls = 0;
   opts.should_stop = [&polls] { return ++polls > 100; };
-  const auto result = evolver::run(seed, toy_objective(), opts, gen);
+  const auto result = test::evolve(seed, toy_objective(), opts, gen);
   EXPECT_TRUE(result.stopped);
   EXPECT_EQ(result.iterations, 100u);
   EXPECT_EQ(result.evaluations, 1 + 100 * 4);
@@ -226,7 +226,7 @@ TEST(evolver, should_stop_ends_run_early_with_best_so_far) {
   const genotype seed2 = genotype::random(small_params(), gen2);
   evolver::options plain;
   plain.iterations = 1000;
-  const auto full = evolver::run(seed2, toy_objective(), plain, gen2);
+  const auto full = test::evolve(seed2, toy_objective(), plain, gen2);
   EXPECT_FALSE(full.stopped);
   EXPECT_EQ(full.iterations, 1000u);
 }
@@ -240,7 +240,7 @@ TEST(evolver, generation_callback_ticks_every_generation) {
   opts.on_generation = [&](std::size_t iteration, const evaluation&) {
     ticks.push_back(iteration);
   };
-  (void)evolver::run(seed, toy_objective(), opts, gen);
+  (void)test::evolve(seed, toy_objective(), opts, gen);
   ASSERT_EQ(ticks.size(), 250u);
   EXPECT_EQ(ticks.front(), 0u);
   EXPECT_EQ(ticks.back(), 249u);
@@ -258,7 +258,7 @@ TEST(evolver, hooks_do_not_perturb_rng_stream) {
       opts.on_generation = [](std::size_t, const evaluation&) {};
       opts.should_stop = [] { return false; };
     }
-    return evolver::run(seed, toy_objective(), opts, gen);
+    return test::evolve(seed, toy_objective(), opts, gen);
   };
   const auto plain = run_once(false);
   const auto hooked = run_once(true);
@@ -275,7 +275,7 @@ TEST(evolver, improvement_callback_fires_monotonically) {
   opts.on_improvement = [&](std::size_t, const evaluation& e) {
     improvements.push_back(e);
   };
-  (void)evolver::run(seed, toy_objective(), opts, gen);
+  (void)test::evolve(seed, toy_objective(), opts, gen);
   for (std::size_t i = 1; i < improvements.size(); ++i) {
     EXPECT_TRUE(better(improvements[i], improvements[i - 1]));
   }

@@ -1,6 +1,7 @@
 // Durability tests for the "axc-session v2" checkpoint format: CRC-guarded
-// sections, atomic save_file, salvage of truncated/corrupted files, v1
-// compatibility, autosave, and the injected-failure paths of save_to_file.
+// sections, atomic save_file, salvage of truncated/corrupted files, the
+// named rejection of retired v1 files, autosave, and the injected-failure
+// paths of save_to_file.
 // The recurring acceptance shape: damage a checkpoint any way we can,
 // resume whatever survives, run to completion — the result must equal the
 // uninterrupted session bit for bit (dropped jobs simply re-run).
@@ -190,10 +191,10 @@ TEST(checkpoint_v2, single_bit_flips_never_crash_resume) {
   SUCCEED();
 }
 
-TEST(checkpoint_v1, stays_readable) {
-  // Hand-build the legacy v1 format (no CRCs, `completed N` up front,
-  // bare `end`) for an empty session; resuming it must still work and
-  // reach the same final result.
+TEST(checkpoint_v1, is_rejected_with_a_named_error) {
+  // The legacy v1 format (no CRCs, `completed N` up front, bare `end`) is
+  // no longer read: even a complete, well-formed v1 file for this very
+  // component must be rejected, by name, rather than mis-accepted.
   const component_handle component = make_component(small_config());
   std::ostringstream v1;
   v1 << "axc-session v1\n";
@@ -211,26 +212,16 @@ TEST(checkpoint_v1, stays_readable) {
 
   std::istringstream is(v1.str());
   resume_report report;
-  auto session =
-      search_session::resume(is, component, {}, &report);
-  ASSERT_TRUE(session.has_value());
+  testing::internal::CaptureStderr();
+  const auto session = search_session::resume(is, component, {}, &report);
+  const std::string diagnostic = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(session.has_value());
   EXPECT_EQ(report.version, 1u);
   EXPECT_EQ(report.jobs_recovered, 0u);
-  session->run();
-  expect_same_designs(session->designs(), finished().designs);
-  EXPECT_EQ(session->front(), finished().front);
-}
-
-TEST(checkpoint_v1, truncation_is_rejected_not_salvaged) {
-  // v1 has no record CRCs, so its strict all-or-nothing semantics remain.
-  const component_handle component = make_component(small_config());
-  std::ostringstream v1;
-  v1 << "axc-session v1\n";
-  v1 << "component mult\n";
-  v1 << "width 4\n";
-  const std::string text = v1.str();
-  std::istringstream is(text);
-  EXPECT_FALSE(search_session::resume(is, component).has_value());
+  EXPECT_NE(diagnostic.find(
+                "checkpoint v1 is no longer readable; re-run the sweep"),
+            std::string::npos)
+      << diagnostic;
 }
 
 TEST(save_file, is_atomic_and_durable) {

@@ -25,7 +25,7 @@ parameters toy_params() {
 // assignments; error = fraction of mismatches.  Many distinct feasible
 // functions exist, with different errors at the same area — exactly the
 // plateau structure the tie-break is about.
-evolver::evaluate_fn majority_objective() {
+test::score_fn majority_objective() {
   return [](const circuit::netlist& nl) -> evaluation {
     std::size_t wrong = 0;
     for (std::uint64_t v = 0; v < 8; ++v) {
@@ -57,9 +57,9 @@ TEST(error_tiebreak, reduces_final_error_at_equal_or_lower_area) {
     rng gp(seed);
     const genotype start = genotype::random(toy_params(), gp);
     rng g1(seed * 7 + 1);
-    const auto a = evolver::run(start, majority_objective(), plain, g1);
+    const auto a = test::evolve(start, majority_objective(), plain, g1);
     rng g2(seed * 7 + 1);
-    const auto b = evolver::run(start, majority_objective(), biased, g2);
+    const auto b = test::evolve(start, majority_objective(), biased, g2);
 
     ASSERT_TRUE(a.best_eval.feasible);
     ASSERT_TRUE(b.best_eval.feasible);
@@ -76,7 +76,7 @@ TEST(error_tiebreak, does_not_break_area_minimization) {
   opts.iterations = 2000;
   opts.error_tiebreak = true;
   rng g(5);
-  const auto result = evolver::run(start, majority_objective(), opts, g);
+  const auto result = test::evolve(start, majority_objective(), opts, g);
   EXPECT_TRUE(result.best_eval.feasible);
   EXPECT_LE(result.best_eval.area, 3.0);  // majority needs <= 4 gates
 }
@@ -110,7 +110,7 @@ TEST(error_tiebreak, rejects_equal_area_higher_error_drift) {
     }
   };
   rng g(13);
-  (void)evolver::run(start, majority_objective(), opts, g);
+  (void)test::evolve(start, majority_objective(), opts, g);
   EXPECT_TRUE(monotone);
 }
 

@@ -2,8 +2,9 @@
 // evolver::run_incremental) must be a pure throughput optimization:
 // bit-identical to decoding every mutant to a netlist and recompiling from
 // scratch — per-candidate WMED/area (or evaluation::dominated() for a
-// mutant whose exact score ranks below its parent), whole searches under
-// every acceptance rule, and the approximator's incremental toggle.
+// mutant whose exact score ranks below its parent), and whole searches
+// under every acceptance rule against the plain (1 + lambda) loop oracle
+// of test_util.h, at small and wide operand widths alike.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,6 +22,7 @@
 #include "mult/multipliers.h"
 #include "support/rng.h"
 #include "tech/analysis.h"
+#include "test_util.h"
 
 namespace axc {
 namespace {
@@ -230,7 +232,7 @@ cgp::evolver::run_result netlist_search(const circuit::netlist& seed,
   rng gen(seed_value);
   const cgp::genotype start =
       cgp::genotype::from_netlist(mult_params(seed, 32), seed, gen);
-  return cgp::evolver::run(
+  return test::plain_evolve(
       start,
       [&](const circuit::netlist& nl) {
         cgp::evaluation e;
@@ -259,8 +261,8 @@ cgp::evolver::run_result incremental_search(const circuit::netlist& seed,
 
 /// Whole searches under every acceptance rule (error_tiebreak x
 /// neutral_drift): the bounded incremental pipeline must reproduce the
-/// netlist pipeline's trajectory exactly — best genotype, its score and
-/// every run counter.
+/// plain loop's trajectory over from-scratch netlist scores exactly — best
+/// genotype, its score and every run counter.
 template <typename Spec>
 void expect_same_search_under_every_rule(const Spec& spec,
                                          const circuit::netlist& seed,
@@ -295,7 +297,7 @@ void expect_same_search_under_every_rule(const Spec& spec,
 }
 
 TEST(incremental_eval, search_reproduces_netlist_search_bit_for_bit) {
-  for (const unsigned w : {6u, 8u}) {
+  for (const unsigned w : {4u, 6u, 8u}) {
     expect_same_search_under_every_rule(metrics::mult_spec{w, false},
                                         mult::unsigned_multiplier(w), 0.003);
     expect_same_search_under_every_rule(metrics::adder_spec{w},
@@ -303,29 +305,29 @@ TEST(incremental_eval, search_reproduces_netlist_search_bit_for_bit) {
   }
 }
 
-TEST(incremental_eval, approximator_toggle_changes_nothing) {
+TEST(incremental_eval, approximator_reports_the_sweep_wmed_at_small_widths) {
+  // Widths below 6 search on the same pipeline: the approximator's design
+  // carries exactly the WMED evaluate() gives its netlist, which equals the
+  // natural-order oracle up to summation order.
   core::approximation_config config;
-  config.spec = metrics::mult_spec{6, false};
-  config.distribution = dist::pmf::half_normal(64, 16.0);
-  config.iterations = 80;
+  config.spec = metrics::mult_spec{4, false};
+  config.distribution = dist::pmf::half_normal(16, 4.0);
+  config.iterations = 200;
   config.extra_columns = 16;
   config.rng_seed = 21;
 
-  const circuit::netlist seed = mult::unsigned_multiplier(6);
-
-  config.incremental = true;
-  const core::evolved_design fast =
-      core::wmed_approximator(config).approximate(seed, 0.004);
-
-  config.incremental = false;
-  const core::evolved_design full =
-      core::wmed_approximator(config).approximate(seed, 0.004);
-
-  EXPECT_EQ(fast.netlist, full.netlist);
-  EXPECT_EQ(fast.wmed, full.wmed);
-  EXPECT_EQ(fast.area_um2, full.area_um2);
-  EXPECT_EQ(fast.evaluations, full.evaluations);
-  EXPECT_EQ(fast.improvements, full.improvements);
+  const core::wmed_approximator approx(config);
+  const core::evolved_design design =
+      approx.approximate(mult::unsigned_multiplier(4), 0.02);
+  metrics::wmed_evaluator evaluator(approx.shared_cache());
+  EXPECT_EQ(design.wmed, evaluator.evaluate(design.netlist));
+  EXPECT_LE(design.wmed, 0.02);
+  EXPECT_GT(design.improvements, 0u);
+  EXPECT_NEAR(design.wmed,
+              test::natural_order_wmed(config.spec,
+                                       approx.shared_cache()->weight,
+                                       design.netlist),
+              1e-13);
 }
 
 }  // namespace

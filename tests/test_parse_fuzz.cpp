@@ -160,8 +160,7 @@ std::optional<core::sweep_spec> parse_spec(std::istream& is) {
   if (!read_field("lambda", spec.options.lambda)) return std::nullopt;
   if (!read_field("error-tiebreak", flag)) return std::nullopt;
   spec.options.error_tiebreak = flag != 0;
-  if (!read_field("incremental", flag)) return std::nullopt;
-  spec.options.incremental = flag != 0;
+  if (!read_field("incremental", flag)) return std::nullopt;  // vestigial
   if (!read_field("rng-seed", spec.options.rng_seed)) return std::nullopt;
 
   {
@@ -375,7 +374,7 @@ core::sweep_spec random_spec(rng& gen) {
   spec.options.max_mutations = 1 + static_cast<unsigned>(gen.below(10));
   spec.options.lambda = 1 + gen.below(8);
   spec.options.error_tiebreak = gen.chance(0.5);
-  spec.options.incremental = gen.chance(0.5);
+  (void)gen.chance(0.5);  // the retired incremental knob's draw
   spec.options.rng_seed = gen();
   spec.plan.runs_per_target = 1 + gen.below(4);
   spec.options.runs_per_target = spec.plan.runs_per_target;

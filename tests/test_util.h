@@ -2,11 +2,20 @@
 // library code is checked against, plus random-structure generators.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "cgp/evolver.h"
+#include "cgp/genotype.h"
 #include "circuit/gate.h"
 #include "circuit/netlist.h"
+#include "circuit/simulator.h"
+#include "metrics/component_spec.h"
 #include "support/rng.h"
 
 namespace axc::test {
@@ -59,6 +68,130 @@ inline std::int64_t as_value(std::uint64_t pattern, unsigned bits,
            static_cast<std::int64_t>(std::uint64_t{1} << bits);
   }
   return static_cast<std::int64_t>(pattern);
+}
+
+/// The natural-order WMED sweep, the parity oracle of
+/// metrics::basic_wmed_evaluator: simulate_block over the 2^(2w) operand
+/// pairs in natural order (operand A in the low inputs), gather every
+/// pair's result and add weight[a] * |exact - result| one pair at a time.
+/// `weight` is the evaluator's shared_state::weight.  Once the running sum
+/// exceeds `abort_above` (checked per 64-pair block) the partial sum is
+/// returned.
+template <metrics::component_spec Spec>
+double natural_order_wmed(
+    const Spec& spec, std::span<const double> weight,
+    const circuit::netlist& nl,
+    double abort_above = std::numeric_limits<double>::infinity()) {
+  const std::vector<std::int64_t> exact = exact_result_table(spec);
+  const std::size_t ni = nl.num_inputs();
+  const std::size_t no = nl.num_outputs();
+  const std::uint64_t a_mask = (std::uint64_t{1} << spec.width) - 1;
+  std::vector<std::uint64_t> scratch(nl.num_signals());
+  std::vector<std::uint64_t> in(ni);
+  std::vector<std::uint64_t> out(no);
+
+  double acc = 0.0;
+  for (std::size_t block = 0; block < spec.pair_count() / 64; ++block) {
+    for (std::size_t i = 0; i < ni; ++i) {
+      in[i] = circuit::exhaustive_input_word(i, block);
+    }
+    circuit::simulate_block(nl, in, out, scratch);
+    std::uint64_t raw[64] = {};
+    for (std::size_t o = 0; o < no; ++o) {
+      for (std::uint64_t w = out[o]; w != 0; w &= w - 1) {
+        raw[std::countr_zero(w)] |= std::uint64_t{1} << o;
+      }
+    }
+    for (std::size_t t = 0; t < 64; ++t) {
+      const std::size_t v = block * 64 + t;
+      const std::int64_t err = exact[v] - spec.result_value(raw[t]);
+      acc += weight[v & a_mask] * static_cast<double>(err < 0 ? -err : err);
+    }
+    if (acc > abort_above) return acc;
+  }
+  return acc;
+}
+
+/// Scores one decoded candidate (Eq. 1).
+using score_fn = std::function<cgp::evaluation(const circuit::netlist&)>;
+
+/// The smallest conforming cgp::incremental_evaluator: every candidate's
+/// decode_cone() is scored from scratch and nothing is ever screened, so
+/// cgp::evolver::run_incremental can search netlist toy objectives.
+class decoding_evaluator final : public cgp::incremental_evaluator {
+ public:
+  explicit decoding_evaluator(score_fn score) : score_(std::move(score)) {}
+
+  cgp::evaluation evaluate_and_bind(const cgp::genotype& parent) override {
+    return score_(parent.decode_cone());
+  }
+  void rebind(const cgp::genotype&, const cgp::evaluation&) override {}
+  cgp::evaluation evaluate_child(const cgp::genotype&,
+                                 const cgp::genotype& child,
+                                 std::span<const std::uint32_t>,
+                                 const cgp::child_bound&) override {
+    return score_(child.decode_cone());
+  }
+
+ private:
+  score_fn score_;
+};
+
+/// run_incremental over a netlist objective.
+inline cgp::evolver::run_result evolve(const cgp::genotype& seed,
+                                       const score_fn& score,
+                                       const cgp::evolver::options& opts,
+                                       rng& gen) {
+  decoding_evaluator evaluator(score);
+  return cgp::evolver::run_incremental(seed, evaluator, opts, gen);
+}
+
+/// The (1 + lambda) loop written out plainly — copy the parent, mutate,
+/// score each child's decode_cone() from scratch, keep the earliest
+/// strictly best, accept it when Eq. 1 (and the tie-break) allows — the
+/// oracle cgp::evolver::run_incremental must reproduce bit for bit.  No
+/// hooks: an oracle run always spends its whole budget.
+inline cgp::evolver::run_result plain_evolve(
+    const cgp::genotype& seed, const score_fn& score,
+    const cgp::evolver::options& opts, rng& gen) {
+  using cgp::evaluation;
+  // Eq. 1: feasible first, then area (feasible) or error (infeasible);
+  // error_tiebreak then orders equal keys by error.
+  const auto strictly_better = [&opts](const evaluation& a,
+                                       const evaluation& b) {
+    if (a.feasible != b.feasible) return a.feasible;
+    const double ka = a.feasible ? a.area : a.error;
+    const double kb = b.feasible ? b.area : b.error;
+    if (ka != kb) return ka < kb;
+    return opts.error_tiebreak && a.error < b.error;
+  };
+  cgp::evolver::run_result result{seed, score(seed.decode_cone())};
+  result.evaluations = 1;
+  const std::size_t lambda = seed.params().lambda;
+  for (std::size_t iter = 0; iter < opts.iterations; ++iter) {
+    std::vector<cgp::genotype> children(lambda, result.best);
+    std::vector<evaluation> evals;
+    for (cgp::genotype& child : children) {
+      child.mutate(gen);
+      evals.push_back(score(child.decode_cone()));
+    }
+    result.evaluations += lambda;
+    std::size_t best = 0;
+    for (std::size_t k = 1; k < lambda; ++k) {
+      if (strictly_better(evals[k], evals[best])) best = k;
+    }
+    const bool accept = opts.neutral_drift
+                            ? !strictly_better(result.best_eval, evals[best])
+                            : strictly_better(evals[best], result.best_eval);
+    if (accept) {
+      const bool improved = cgp::better(evals[best], result.best_eval);
+      ++(improved ? result.improvements : result.neutral_moves);
+      result.best = std::move(children[best]);
+      result.best_eval = evals[best];
+    }
+    ++result.iterations;
+  }
+  return result;
 }
 
 }  // namespace axc::test

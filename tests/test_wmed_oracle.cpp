@@ -1,4 +1,4 @@
-// An independent WMED oracle for the fast evaluation path.
+// An independent WMED oracle for the evaluation engine.
 //
 // The oracle is deliberately naive and shares nothing with the engine but
 // the netlist data structure: it interprets the candidate gate by gate for
@@ -7,12 +7,13 @@
 // extended precision and normalizes the way
 // metrics::basic_wmed_evaluator::shared_state::weight documents
 // (D(a) / (2^w * output_scale)).  Random mutated genotypes are scored by the
-// engine through the path the search uses — cgp::cone_program bind/apply +
-// evaluate_program at widths >= 6, evaluate() on the decoded cone below —
-// and must agree within 1e-12 relative (the summation order differs) and
-// exactly on feasibility for targets away from the value.  A mutant whose
-// WMED equals its parent's must also survive the search's error screen,
-// whose rounding margin these distributions stress.
+// engine through the path the search uses at every width —
+// cgp::cone_program bind/apply + evaluate_program — and must agree within
+// 1e-12 relative (the summation order differs), exactly on feasibility for
+// targets away from the value, and bit for bit with the fixed-order double
+// reduction sum_a weight[a] * S_a of the oracle's exact integer row sums
+// S_a.  A mutant whose WMED equals its parent's must also survive the
+// search's error screen, whose rounding margin these distributions stress.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -138,6 +139,19 @@ std::vector<std::int64_t> error_rows(kind k, unsigned w,
   return rows;
 }
 
+/// The engine's completed-sweep reduction, from the oracle's exact rows:
+/// weight[a] = D(a) / (2^w * output_scale) in double, summed in ascending a.
+double fixed_order_wmed(kind k, unsigned w,
+                        const std::vector<std::int64_t>& rows,
+                        const dist::pmf& d) {
+  const double denom = static_cast<double>(denominator(k, w));
+  double acc = 0.0;
+  for (std::size_t a = 0; a < rows.size(); ++a) {
+    acc += d[a] / denom * static_cast<double>(rows[a]);
+  }
+  return acc;
+}
+
 double oracle_wmed(kind k, unsigned w, const std::vector<std::int64_t>& rows,
                    const dist::pmf& d) {
   long double sum = 0.0L;
@@ -216,9 +230,8 @@ void check_against_oracle(kind k, unsigned w, const Spec& spec,
       cgp::genotype::from_netlist(padded_params(seed), seed, gen);
   for (int m = 0; m < 4; ++m) parent.mutate(gen);
 
-  const bool fast = w >= 6;
   cgp::cone_program cone;
-  if (fast) cone.bind(parent);
+  cone.bind(parent);
 
   // Candidate 0 is the parent itself; the rest are its mutants.
   for (int c = 0; c < 4; ++c) {
@@ -226,9 +239,8 @@ void check_against_oracle(kind k, unsigned w, const Spec& spec,
     std::vector<std::uint32_t> dirty;
     if (c > 0) child.mutate(gen, dirty);
     const bool applied =
-        fast && c > 0 &&
+        c > 0 &&
         cone.apply(parent, child, dirty) != cgp::cone_program::delta::identical;
-    const circuit::netlist cone_nl = child.decode_cone();
     const std::vector<std::int64_t> rows = error_rows(k, w, child.decode());
 
     for (std::size_t p = 0; p < pmfs.size(); ++p) {
@@ -237,13 +249,13 @@ void check_against_oracle(kind k, unsigned w, const Spec& spec,
                                 std::to_string(c) + " " + pmfs[p].first;
       auto& evaluator = evaluators[p];
       const auto engine = [&](double abort_above) {
-        return fast ? evaluator.evaluate_program(cone.program(), abort_above)
-                    : evaluator.evaluate(cone_nl, abort_above);
+        return evaluator.evaluate_program(cone.program(), abort_above);
       };
       const double expected = oracle_wmed(k, w, rows, pmfs[p].second);
       const double got = engine(std::numeric_limits<double>::infinity());
       EXPECT_LE(std::abs(got - expected), 1e-12 * expected)
           << where << ": engine " << got << " oracle " << expected;
+      EXPECT_EQ(got, fixed_order_wmed(k, w, rows, pmfs[p].second)) << where;
 
       if (expected > 0.0) {
         const double above = expected * (1.0 + 1e-6);
@@ -380,7 +392,7 @@ TEST(wmed_oracle, equal_error_mutants_survive_the_screen_margin) {
   // A mutant with exactly the parent's error must come back exact — and so
   // acceptable — under every adversarial distribution.
   std::size_t unmargined_screens = 0;
-  for (const unsigned w : {6u, 8u}) {
+  for (const unsigned w : {4u, 6u, 8u}) {
     unmargined_screens += check_equal_error_child(
         kind::mult_unsigned, w, metrics::mult_spec{w, false},
         mult::unsigned_multiplier(w), 400 + w);

@@ -1,8 +1,10 @@
-// Parity of the rebuilt WMED fast path (operand-major bit-plane sweep,
-// cone-restricted wide-lane simulation, distribution-ordered blocks)
-// against the straightforward reference implementations.
+// Parity of the WMED engine (operand-major bit-plane sweep, cone-restricted
+// wide-lane simulation, distribution-ordered blocks) against the
+// straightforward reference implementations: the table-based wmed() and
+// the natural-order sweep oracle of test_util.h.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "cgp/genotype.h"
@@ -11,6 +13,7 @@
 #include "metrics/wmed_evaluator.h"
 #include "mult/multipliers.h"
 #include "support/rng.h"
+#include "test_util.h"
 
 namespace axc::metrics {
 namespace {
@@ -33,7 +36,8 @@ TEST(wmed_fast_path, matches_reference_path_across_distributions) {
     for (const dist::pmf& d : test_distributions(256)) {
       wmed_evaluator evaluator(spec, d);
       const double fast = evaluator.evaluate(nl);
-      const double reference = evaluator.evaluate_reference(nl);
+      const double reference =
+          test::natural_order_wmed(spec, evaluator.shared()->weight, nl);
       EXPECT_NEAR(fast, reference, 1e-13) << "signed=" << is_signed;
     }
   }
@@ -104,7 +108,8 @@ TEST(wmed_fast_path, abort_classification_agrees_with_reference) {
     const double full = evaluator.evaluate(nl);
     for (const double bound : {full * 0.01, full * 0.5, full * 2.0 + 1e-9}) {
       const double fast = evaluator.evaluate(nl, bound);
-      const double reference = evaluator.evaluate_reference(nl, bound);
+      const double reference = test::natural_order_wmed(
+          spec, evaluator.shared()->weight, nl, bound);
       // Both paths must classify feasibility identically...
       EXPECT_EQ(fast > bound, reference > bound)
           << "dropped=" << dropped << " bound=" << bound;
@@ -131,38 +136,54 @@ TEST(wmed_fast_path, distribution_order_visits_heavy_mass_first) {
   EXPECT_LE(aborted, full + 1e-12);
 }
 
-TEST(wmed_fast_path, wide_shared_state_keeps_no_exact_table) {
-  // At width >= 6 the exact planes carry the exact results, so the shared
-  // state drops the 2^(2w) table; only the reference sweep rebuilds one,
-  // privately and once per evaluator.
-  const mult_spec spec{8, false};
-  const dist::pmf d = dist::pmf::half_normal(256, 40.0);
-  const auto shared = wmed_evaluator::make_shared_state(spec, d);
-  EXPECT_TRUE(shared->exact.empty());
-  EXPECT_FALSE(shared->exact_planes.empty());
-
-  wmed_evaluator evaluator(shared);
-  const circuit::netlist nl = mult::truncated_multiplier(8, 4);
-  const double reference = evaluator.evaluate_reference(nl);
-  EXPECT_EQ(evaluator.evaluate_reference(nl), reference);
-  EXPECT_NEAR(evaluator.evaluate(nl), reference, 1e-13);
-  EXPECT_TRUE(shared->exact.empty());
-
-  const auto narrow = wmed_evaluator::make_shared_state(
-      mult_spec{4, false}, dist::pmf::uniform(16));
-  EXPECT_EQ(narrow->exact.size(), 256u);
+TEST(wmed_fast_path, shared_state_tiles_every_width) {
+  // One operand A per block at every width: 2^(2w-6) blocks from width 6
+  // on, 2^w below (each B then repeats 2^(6-w) times per block), always a
+  // whole number of 8-lane passes.  No exact table is kept resident: the
+  // exact planes encode it.
+  for (unsigned w = 3; w <= 8; ++w) {
+    const mult_spec spec{w, false};
+    const auto shared = wmed_evaluator::make_shared_state(
+        spec, dist::pmf::uniform(spec.operand_count()));
+    const std::size_t blocks =
+        w >= 6 ? std::size_t{1} << (2 * w - 6) : std::size_t{1} << w;
+    EXPECT_EQ(shared->block_count, blocks) << "w=" << w;
+    EXPECT_EQ(shared->pass_count * wmed_evaluator::lanes, blocks);
+    EXPECT_EQ(shared->block_order.size(), blocks);
+    EXPECT_EQ(shared->exact_planes.size(), blocks * shared->planes);
+    EXPECT_EQ(shared->input_planes.size(), blocks * 2 * w);
+    EXPECT_EQ(shared->total_shift, w >= 6 ? 0u : 6 - w);
+  }
 }
 
-TEST(wmed_fast_path, small_widths_share_the_reference_path) {
-  // Widths below the in-word operand threshold fall back to the reference
-  // sweep; both entry points must agree exactly.
+TEST(wmed_fast_path, small_widths_run_the_same_sweep) {
+  // Widths 3..5 share the sweep: evaluate() must agree with the natural-
+  // order oracle within the wide widths' tolerance, classify every abort
+  // bound the same way, and stay a lower bound when it aborts.
   for (const unsigned width : {3u, 4u, 5u}) {
-    const mult_spec spec{width, false};
-    const dist::pmf d =
-        dist::pmf::half_normal(spec.operand_count(), spec.operand_count() / 3.0);
-    wmed_evaluator evaluator(spec, d);
-    const circuit::netlist nl = mult::truncated_multiplier(width, width / 2);
-    EXPECT_DOUBLE_EQ(evaluator.evaluate(nl), evaluator.evaluate_reference(nl));
+    for (const bool is_signed : {false, true}) {
+      const mult_spec spec{width, is_signed};
+      for (const dist::pmf& d : test_distributions(spec.operand_count())) {
+        wmed_evaluator evaluator(spec, d);
+        const std::span<const double> weight = evaluator.shared()->weight;
+        for (const unsigned dropped : {1u, width / 2, width}) {
+          const circuit::netlist nl =
+              mult::truncated_multiplier(width, dropped, is_signed);
+          const double full = evaluator.evaluate(nl);
+          EXPECT_NEAR(full, test::natural_order_wmed(spec, weight, nl),
+                      1e-13)
+              << "w=" << width << " signed=" << is_signed;
+          for (const double bound : {full * 0.01, full * 0.5, full * 2.0}) {
+            const double fast = evaluator.evaluate(nl, bound);
+            EXPECT_EQ(fast > bound,
+                      test::natural_order_wmed(spec, weight, nl, bound) >
+                          bound)
+                << "w=" << width << " bound=" << bound;
+            EXPECT_LE(fast, full + 1e-12);
+          }
+        }
+      }
+    }
   }
 }
 

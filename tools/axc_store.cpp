@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/result_store.h"
+#include "support/journal.h"
 
 namespace {
 
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "axc_store: put failed\n");
       return 1;
     }
-    std::printf("%016llx\n", static_cast<unsigned long long>(*hash));
+    std::printf("%s\n", axc::support::hex16(*hash).c_str());
     return 0;
   }
   if (cmd == "get" && (args.size() == 3 || args.size() == 5)) {
@@ -121,11 +122,10 @@ int main(int argc, char** argv) {
       kind = args[2];
     }
     for (const auto& entry : store->entries(kind)) {
-      std::printf("%s %s %016llx %llu %08x\n", entry.kind.c_str(),
-                  entry.key.c_str(),
-                  static_cast<unsigned long long>(entry.hash),
+      std::printf("%s %s %s %llu %s\n", entry.kind.c_str(),
+                  entry.key.c_str(), axc::support::hex16(entry.hash).c_str(),
                   static_cast<unsigned long long>(entry.size),
-                  entry.payload_crc);
+                  axc::support::hex8(entry.payload_crc).c_str());
     }
     return 0;
   }
