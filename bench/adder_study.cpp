@@ -12,6 +12,7 @@
 #include "core/pareto.h"
 #include "core/wmed_approximator.h"
 #include "metrics/adder_metrics.h"
+#include "metrics/compiled_table.h"
 #include "mult/adders.h"
 #include "mult/approx_adders.h"
 #include "tech/analysis.h"
@@ -37,7 +38,7 @@ int main() {
   std::vector<row> rows;
   const auto add = [&](const std::string& name, const circuit::netlist& nl) {
     rows.push_back({name,
-                    metrics::adder_wmed(exact, metrics::sum_table(nl, spec),
+                    metrics::adder_wmed(exact, metrics::result_table(nl, spec),
                                         spec, d),
                     tech::estimate_area(nl, lib)});
   };

@@ -12,6 +12,7 @@
 #include "core/design_flow.h"
 #include "core/pareto.h"
 #include "core/wmed_approximator.h"
+#include "metrics/compiled_table.h"
 #include "metrics/error_metrics.h"
 #include "mult/multipliers.h"
 
@@ -88,7 +89,7 @@ int main() {
   // --- characterize everything under all three metrics ---
   const auto exact_table = metrics::exact_product_table(spec);
   for (candidate& c : candidates) {
-    const auto table = metrics::product_table(c.netlist, spec);
+    const auto table = metrics::result_table(c.netlist, spec);
     for (int di = 0; di < 3; ++di) {
       c.wmed[di] = metrics::wmed(exact_table, table, spec, dists[di]);
     }

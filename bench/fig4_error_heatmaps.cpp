@@ -7,6 +7,7 @@
 
 #include "bench_util.h"
 #include "core/wmed_approximator.h"
+#include "metrics/compiled_table.h"
 #include "metrics/error_metrics.h"
 #include "mult/multipliers.h"
 
@@ -62,7 +63,7 @@ int main() {
     const core::wmed_approximator approximator(cfg);
     const auto design = approximator.approximate(seed, target);
 
-    const auto table = metrics::product_table(design.netlist, spec);
+    const auto table = metrics::result_table(design.netlist, spec);
     const auto map = metrics::error_map(exact_table, table, spec);
     const auto grid = metrics::downsample_error_map(map, spec, 8);
     print_heatmap(names[di], grid, 8);

@@ -82,7 +82,7 @@ void bm_sim_program_8lanes(benchmark::State& state) {
   // Same circuit as bm_simulate_block, but through the compiled wide-lane
   // path: one run() covers 8 blocks (512 assignments).
   const circuit::netlist nl = mult::unsigned_multiplier(8);
-  circuit::sim_program<8> program(nl);
+  circuit::sim_program program(nl);
   std::vector<std::uint64_t> in(16 * 8), out(16 * 8);
   for (std::size_t i = 0; i < 16; ++i) {
     for (std::size_t l = 0; l < 8; ++l) {
@@ -99,26 +99,16 @@ void bm_sim_program_8lanes(benchmark::State& state) {
 BENCHMARK(bm_sim_program_8lanes);
 
 void bm_sim_program_rebuild(benchmark::State& state) {
-  // Per-candidate compile cost (cone marking + remap), amortized over the
-  // 2^16/64 blocks of one WMED sweep.
+  // Per-candidate compile cost (table fill + cone marking + pack),
+  // amortized over the 2^16/64 blocks of one WMED sweep.
   const circuit::netlist nl = mult::unsigned_multiplier(8);
-  circuit::sim_program<8> program;
+  circuit::sim_program program;
   for (auto _ : state) {
     program.rebuild(nl);
-    benchmark::DoNotOptimize(program.active_gates());
+    benchmark::DoNotOptimize(program.active_count());
   }
 }
 BENCHMARK(bm_sim_program_rebuild);
-
-void bm_evaluate_exhaustive_8bit(benchmark::State& state) {
-  const circuit::netlist nl = mult::unsigned_multiplier(8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(circuit::evaluate_exhaustive(nl));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          65536);
-}
-BENCHMARK(bm_evaluate_exhaustive_8bit);
 
 void bm_wmed_evaluate(benchmark::State& state) {
   // Batched sweep under the best runtime-dispatched backend (AXC_SIMD
@@ -362,7 +352,7 @@ void bm_adder_wmed_table(benchmark::State& state) {
   const circuit::netlist nl = mult::lower_or_adder(8, 4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        metrics::adder_wmed(exact, metrics::sum_table(nl, spec), spec, d));
+        metrics::adder_wmed(exact, metrics::result_table(nl, spec), spec, d));
   }
 }
 BENCHMARK(bm_adder_wmed_table);
@@ -392,7 +382,7 @@ void bm_evolver_generation_adder_table(benchmark::State& state) {
     child.mutate(gen);
     const circuit::netlist nl = child.decode_cone();
     benchmark::DoNotOptimize(
-        metrics::adder_wmed(exact, metrics::sum_table(nl, spec), spec, d));
+        metrics::adder_wmed(exact, metrics::result_table(nl, spec), spec, d));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -849,21 +839,7 @@ BENCHMARK(bm_crc32)->Arg(11461);
 void bm_compiled_table_fill(benchmark::State& state) {
   // Exhaustive characterization through the wide-lane batch path (what the
   // compiled_table constructor runs when the deployment pipeline compiles a
-  // front member): cone-restricted sim_program<8>, 512 assignments/pass.
-  const circuit::netlist nl = mult::unsigned_multiplier(8);
-  const metrics::mult_spec spec{8, false};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(metrics::result_table_wide(nl, spec));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          65536);
-}
-BENCHMARK(bm_compiled_table_fill);
-
-void bm_compiled_table_fill_scalar(benchmark::State& state) {
-  // The pre-PR-4 product_lut path: per-entry scalar simulation
-  // (simulate_block, 64 assignments/pass) — the baseline
-  // bm_compiled_table_fill is measured against.
+  // front member): cone-restricted sim_program, 512 assignments/pass.
   const circuit::netlist nl = mult::unsigned_multiplier(8);
   const metrics::mult_spec spec{8, false};
   for (auto _ : state) {
@@ -872,7 +848,7 @@ void bm_compiled_table_fill_scalar(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           65536);
 }
-BENCHMARK(bm_compiled_table_fill_scalar);
+BENCHMARK(bm_compiled_table_fill);
 
 void bm_lut_multiply(benchmark::State& state) {
   const mult::product_lut lut =

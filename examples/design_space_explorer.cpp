@@ -18,6 +18,7 @@
 #include "core/design_flow.h"
 #include "core/pareto.h"
 #include "core/search_session.h"
+#include "metrics/compiled_table.h"
 #include "metrics/error_metrics.h"
 #include "mult/multipliers.h"
 
@@ -37,7 +38,7 @@ void enumerate_building_blocks(const axc::dist::pmf& d) {
 
   const auto add = [&](const std::string& name,
                        const circuit::netlist& nl) {
-    const auto table = metrics::product_table(nl, spec);
+    const auto table = metrics::result_table(nl, spec);
     const auto hw = core::characterize_multiplier(nl, spec, d, lib, 2048);
     rows.push_back({name, metrics::wmed(exact, table, spec, d),
                     metrics::worst_case_error(exact, table, spec),

@@ -2,11 +2,11 @@
 // evaluation pipeline of the CGP search without the per-mutant netlist
 // round-trip.
 //
-// PR 1 made the WMED sweep itself fast; the remaining per-mutant cost was
-// the pipeline *around* it: genotype::decode_cone() materializes a netlist,
-// sim_program::rebuild() re-derives the cone and re-packs a dense slot
-// space, both allocating and both repeating work the parent already paid
-// for.  cone_program removes that round-trip with four ideas:
+// With the WMED sweep itself fast, the remaining per-mutant cost was the
+// pipeline *around* it: genotype::decode_cone() materializes a netlist and
+// sim_program::rebuild() re-derives its cone and rewrites the whole step
+// table, both repeating work the parent already paid for.  cone_program
+// removes that round-trip with four ideas:
 //
 //  1. *Stable slots.*  The sim_program slot space is the CGP address space
 //     itself (inputs, then one slot per grid node), so operand genes ARE
@@ -14,12 +14,12 @@
 //     Inactive slots are merely never written — and never read, because an
 //     active node's read operands are active by the cone rule, and the
 //     executors only read operands their gate function depends on.
-//  2. *Table schedule.*  The program runs in sim_program's indexed mode:
-//     one step-table entry per grid node plus a packed active-index list
-//     (ascending node address = topological order).  A mutant then costs
-//     O(dirty) table writes — never a re-emit of the whole step list — and
-//     release_child() restores the touched entries from the parent's
-//     genes, no journal needed.
+//  2. *Table schedule.*  sim_program's one schedule shape: one step-table
+//     entry per grid node plus a packed active-index list (ascending node
+//     address = topological order).  A mutant then costs O(dirty) table
+//     writes — never a rewrite of the whole table — and release_child()
+//     restores the touched entries from the parent's genes, no journal
+//     needed.
 //  3. *Reference-counted membership screen.*  bind() counts, per node, the
 //     read-edges from active nodes plus output seeds (refcnt > 0 iff in
 //     the cone).  apply() folds each effective edge change into these
@@ -53,8 +53,6 @@ namespace axc::cgp {
 
 class cone_program {
  public:
-  static constexpr std::size_t lanes = 8;
-
   /// Full genotype-native compile of `parent`'s active cone; `parent`
   /// becomes the bound base for apply()/release_child().
   void bind(const genotype& parent);
@@ -81,7 +79,7 @@ class cone_program {
   /// (O(dirty)).  The index list is repaired lazily at the next apply().
   void release_child(const genotype& parent);
 
-  [[nodiscard]] circuit::sim_program<lanes>& program() { return program_; }
+  [[nodiscard]] circuit::sim_program& program() { return program_; }
   /// Active gate functions in emission (node address) order — the cone
   /// netlist's gate list, for netlist-free area estimation.  Valid for the
   /// currently applied child (or the bound parent); built on demand (on
@@ -111,7 +109,7 @@ class cone_program {
   /// Writes node k's table entry from `g`'s genes.
   void write_step(const genotype& g, std::size_t k);
 
-  circuit::sim_program<lanes> program_;
+  circuit::sim_program program_;
   std::vector<circuit::gate_fn> fns_;        ///< step_fns() cache
   bool fns_valid_{false};
   std::vector<std::uint8_t> active_;         ///< parent cone flags, per node

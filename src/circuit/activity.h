@@ -28,7 +28,7 @@ struct activity_profile {
 
 /// Profiles toggle rates over a stream of input vectors.
 /// `input_values[t]` packs the full input assignment at time t
-/// (input i at bit i), exactly as simulator.h's simulate_words.
+/// (input i at bit i).
 activity_profile profile_activity(const netlist& nl,
                                   std::span<const std::uint64_t> input_values);
 

@@ -15,16 +15,11 @@ namespace axc::circuit::detail {
 
 namespace {
 
-void run_steps_avx512(const sim_step* steps, std::size_t count,
-                      std::uint64_t* slots) {
-  run_steps_w8<simd::vu64x8<simd::level::avx512>>(steps, count, slots);
-}
-
 void run_steps_indexed_avx512(const sim_step* table,
                               const std::uint32_t* indices, std::size_t count,
                               std::uint64_t* slots) {
-  run_steps_indexed_w8<simd::vu64x8<simd::level::avx512>>(table, indices,
-                                                          count, slots);
+  run_steps_indexed<simd::vu64x8<simd::level::avx512>>(table, indices, count,
+                                                       slots);
 }
 
 std::size_t pack_avx512(const std::uint8_t* flags, std::size_t count,
@@ -52,7 +47,6 @@ std::size_t pack_avx512(const std::uint8_t* flags, std::size_t count,
 
 }  // namespace
 
-sim_steps_fn sim_steps_kernel_avx512() { return &run_steps_avx512; }
 sim_steps_indexed_fn sim_steps_indexed_kernel_avx512() {
   return &run_steps_indexed_avx512;
 }
@@ -60,7 +54,6 @@ sim_pack_fn sim_pack_kernel_avx512() { return &pack_avx512; }
 
 #else
 
-sim_steps_fn sim_steps_kernel_avx512() { return nullptr; }
 sim_steps_indexed_fn sim_steps_indexed_kernel_avx512() { return nullptr; }
 sim_pack_fn sim_pack_kernel_avx512() { return nullptr; }
 

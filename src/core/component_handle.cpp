@@ -18,7 +18,6 @@ basic_approximation_config<Spec> config_from_options(
   config.max_mutations = options.max_mutations;
   config.lambda = options.lambda;
   config.error_tiebreak = options.error_tiebreak;
-  config.simd = options.simd;
   config.rng_seed = options.rng_seed;
   config.library = options.library;
   return config;

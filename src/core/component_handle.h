@@ -94,10 +94,9 @@ class component_handle {
   }
 
   /// Hash of every result-affecting config knob (spec shape, distribution,
-  /// search budget, RNG seed, function set, tie-break policy) — NOT of the
-  /// bit-identical execution knob (simd).  Checkpoints embed this so
-  /// resuming against a subtly different search is rejected instead of
-  /// silently mixing incompatible jobs.
+  /// search budget, RNG seed, function set, tie-break policy).  Checkpoints
+  /// embed this so resuming against a subtly different search is rejected
+  /// instead of silently mixing incompatible jobs.
   [[nodiscard]] std::uint64_t fingerprint() const {
     return get().fingerprint();
   }
@@ -184,7 +183,7 @@ class component_handle {
 
     [[nodiscard]] std::vector<std::int64_t> characterize(
         const circuit::netlist& nl) const override {
-      return metrics::result_table_wide(nl, config.spec);
+      return metrics::result_table(nl, config.spec);
     }
 
     [[nodiscard]] std::uint64_t fingerprint() const override {
@@ -272,8 +271,6 @@ struct component_options {
   unsigned max_mutations{5};
   std::size_t lambda{4};
   bool error_tiebreak{true};
-  /// Scan kernel backend (bit-identical execution knob).
-  simd::level simd{simd::level::automatic};
   std::uint64_t rng_seed{1};
   const tech::cell_library* library{&tech::cell_library::nangate45_like()};
 };

@@ -17,6 +17,9 @@ std::vector<std::string> split_tokens(const std::string& line) {
   return tokens;
 }
 
+/// Backoff growth per consecutive failure (policy.backoff is the first).
+constexpr double kBackoffFactor = 2.0;
+
 std::chrono::milliseconds scaled(std::chrono::milliseconds base,
                                  double factor, std::size_t exponent) {
   const double scale = std::pow(factor, static_cast<double>(exponent));
@@ -176,7 +179,7 @@ void node_pool::release_failure(std::size_t node, clock::time_point now) {
   }
   s.health = node_health::backing_off;
   s.available_at =
-      now + scaled(policy_.backoff, policy_.backoff_factor, s.consecutive - 1);
+      now + scaled(policy_.backoff, kBackoffFactor, s.consecutive - 1);
 }
 
 void node_pool::mark_dead(std::size_t node, clock::time_point now) {

@@ -88,7 +88,6 @@ struct node_policy {
   /// Base delay before a failed node is offered work again; doubles per
   /// consecutive failure (capped by quarantine, which takes over).
   std::chrono::milliseconds backoff{250};
-  double backoff_factor{2.0};
   /// Base quarantine duration; doubles per additional quarantine trip.
   std::chrono::milliseconds reprobation{2000};
   double reprobation_factor{2.0};

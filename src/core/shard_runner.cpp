@@ -53,6 +53,13 @@ constexpr int kCoordCrashExit = 43;
 constexpr std::string_view kFaultCrashAfterSpawn = "coord-crash-after-spawn";
 constexpr std::string_view kFaultCrashMidMerge = "coord-crash-mid-merge";
 
+/// Relaunch delay growth per further attempt (config.backoff is the first).
+constexpr double kBackoffFactor = 2.0;
+/// Remote nodes only: how often to pull a checkpoint copy for heartbeat
+/// observation, and how many times a torn final fetch is retried.
+constexpr std::chrono::milliseconds kFetchInterval{200};
+constexpr std::size_t kFetchRetries = 2;
+
 /// Shortest exact decimal: %.17g round-trips every double through the
 /// stream extractor (same convention as the session checkpoint format).
 std::string format_double(double value) {
@@ -581,7 +588,7 @@ bool start_launch(const shard_runner_config& config, node_pool& pool,
     argv.push_back("--autosave-generations");
     argv.push_back(std::to_string(config.worker_autosave_generations));
   }
-  std::vector<std::string> env = config.worker_env;
+  std::vector<std::string> env;
   if (!speculative && s.attempt == 1 &&
       s.outcome.shard < config.shard_env.size()) {
     const auto& extra = config.shard_env[s.outcome.shard];
@@ -633,7 +640,7 @@ bool retrieve_valid_checkpoint(const shard_runner_config& config,
   const support::worker_launcher launcher = node.launcher();
   const std::string scratch = l.checkpoint_path + ".fetch";
   std::error_code ec;
-  for (std::size_t i = 0; i <= config.fetch_retries; ++i) {
+  for (std::size_t i = 0; i <= kFetchRetries; ++i) {
     if (!launcher.fetch_file(l.remote_checkpoint, scratch)) {
       note(journal, "fetch " + shard_str + " " + node.name + " fail");
       continue;
@@ -805,7 +812,7 @@ sweep_result run_sweep(const sweep_spec& spec,
 
   const auto backoff_delay = [&cfg](std::size_t attempt) {
     double scale = 1.0;
-    for (std::size_t a = 1; a < attempt; ++a) scale *= cfg.backoff_factor;
+    for (std::size_t a = 1; a < attempt; ++a) scale *= kBackoffFactor;
     return std::chrono::milliseconds(
         static_cast<std::int64_t>(cfg.backoff.count() * scale));
   };
@@ -865,7 +872,7 @@ sweep_result run_sweep(const sweep_spec& spec,
         if (!status) {
           // Heartbeat: checkpoint growth is the worker's progress signal.
           // Shared filesystem reads the file directly; remote launches
-          // pull a copy every fetch_interval.  node-heartbeat-stall
+          // pull a copy every kFetchInterval.  node-heartbeat-stall
           // suppresses the observation, making a healthy worker look
           // stalled — the supervision must then kill and retry it.
           std::size_t jobs = l.last_jobs;
@@ -875,7 +882,7 @@ sweep_result run_sweep(const sweep_spec& spec,
               jobs = count_checkpoint_jobs(l.checkpoint_path);
               observed = true;
             }
-          } else if (now - l.last_fetch >= cfg.fetch_interval) {
+          } else if (now - l.last_fetch >= kFetchInterval) {
             l.last_fetch = now;
             if (!fault::fire(fault::points::node_heartbeat_stall)) {
               const std::string hb = l.checkpoint_path + ".hb";

@@ -191,9 +191,8 @@ struct shard_runner_config {
   /// long; 0 = none.  Catches live-locked / sleeping workers that would
   /// never hit attempt_timeout sized for the whole shard.
   std::chrono::milliseconds stall_timeout{0};
-  /// First relaunch delay; doubles (backoff_factor) per further attempt.
+  /// First relaunch delay; doubles per further attempt.
   std::chrono::milliseconds backoff{100};
-  double backoff_factor{2.0};
   /// Supervision cadence: heartbeat scrapes, stall/attempt deadlines,
   /// backoff, speculation and should_stop run at least this often.  A
   /// worker exit does not wait for it — the loop sleeps in poll() on the
@@ -209,9 +208,8 @@ struct shard_runner_config {
   std::string work_dir{};
   /// Path to the worker executable (tools/axc_worker).
   std::string worker_binary{};
-  /// Extra "KEY=VALUE" environment entries for every worker attempt.
-  std::vector<std::string> worker_env{};
-  /// Per-shard extra env applied to the FIRST attempt only (index = shard).
+  /// Per-shard extra "KEY=VALUE" environment entries, applied to the FIRST
+  /// attempt only (index = shard).
   /// The fault-injection hook: arm AXC_FAULT for one shard's first life and
   /// the retry runs clean — recovery succeeds because the on-disk state
   /// differs, not because the fault went away by luck.
@@ -237,10 +235,6 @@ struct shard_runner_config {
   /// the winner lands (the byte-equality test harness knob; production
   /// wants the default false).
   bool speculation_keep_losers{false};
-  /// Remote nodes only: how often to pull a checkpoint copy for heartbeat
-  /// observation, and how many attempts a torn final fetch is retried.
-  std::chrono::milliseconds fetch_interval{200};
-  std::size_t fetch_retries{2};
   std::function<void(const shard_event&)> on_event{};
   /// Polled once per supervision tick; returning true drains the sweep:
   /// live workers are SIGKILLed (their checkpoints stay), the merge runs

@@ -227,14 +227,14 @@ std::optional<evolved_design> run_search_job(
   // Genotype-native pipeline: mutants never round-trip through a netlist;
   // the parent's compiled schedule is shared and patched.
   const auto evaluator = make_incremental_wmed_evaluator<Spec>(
-      cache, *config.library, target, config.simd);
+      cache, *config.library, target);
   const cgp::evolver::run_result run =
       cgp::evolver::run_incremental(start, *evaluator, opts, gen);
   if (run.stopped) return std::nullopt;
 
   evolved_design design{run.best.decode_cone(), 0.0, 0.0, target,
                         run_index, run.evaluations, run.improvements};
-  metrics::basic_wmed_evaluator<Spec> wmed(cache, config.simd);
+  metrics::basic_wmed_evaluator<Spec> wmed(cache);
   design.wmed = wmed.evaluate(design.netlist);
   design.area_um2 = tech::estimate_area(design.netlist, *config.library);
   return design;

@@ -70,12 +70,6 @@ struct basic_approximation_config {
   /// search budgets it steers the error budget into many small deviations,
   /// which application-level quality rewards.
   bool error_tiebreak{true};
-  /// Scan kernel backend for the WMED sweep (metrics/scan_kernels.h).
-  /// `automatic` resolves to the strongest compiled-in backend the CPU
-  /// supports (AXC_SIMD environment override honoured); every level is
-  /// bit-identical, so this knob never changes results and stays out of
-  /// the checkpoint fingerprint.
-  simd::level simd{simd::level::automatic};
   std::vector<circuit::gate_fn> function_set{
       circuit::default_function_set().begin(),
       circuit::default_function_set().end()};
@@ -195,8 +189,9 @@ using adder_wmed_approximator = basic_wmed_approximator<metrics::adder_spec>;
 /// mutant with: cone_program compile/patch + netlist-free area
 /// estimation + bit-plane sweep with early abort at `target`, or earlier
 /// where the child_bound proves the mutant cannot replace its parent.
-/// Exposed for benches and parity tests.  `simd` picks the scan kernel backend
-/// (bit-identical at every level; see approximation_config::simd).
+/// Exposed for benches and parity tests.  `simd` picks the scan kernel and
+/// step-executor backend; every level is bit-identical, and `automatic`
+/// (what the search uses) honours the AXC_SIMD environment override.
 template <metrics::component_spec Spec>
 std::unique_ptr<cgp::incremental_evaluator> make_incremental_wmed_evaluator(
     const Spec& spec, const dist::pmf& d, const tech::cell_library& lib,

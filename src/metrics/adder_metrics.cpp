@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "metrics/compiled_table.h"
 #include "support/assert.h"
 
 namespace axc::metrics {
@@ -16,11 +15,6 @@ std::vector<std::int64_t> exact_sum_table(const adder_spec& spec) {
     }
   }
   return table;
-}
-
-std::vector<std::int64_t> sum_table(const circuit::netlist& nl,
-                                    const adder_spec& spec) {
-  return result_table(nl, spec);
 }
 
 double adder_wmed(std::span<const std::int64_t> exact,

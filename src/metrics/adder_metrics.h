@@ -3,10 +3,11 @@
 // multiplier-specific.  Layout mirrors mult_spec: entry[(b << w) | a].
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "circuit/netlist.h"
 #include "dist/pmf.h"
 
 namespace axc::metrics {
@@ -44,10 +45,6 @@ std::vector<std::int64_t> exact_sum_table(const adder_spec& spec);
 inline std::vector<std::int64_t> exact_result_table(const adder_spec& spec) {
   return exact_sum_table(spec);
 }
-
-/// Sum table of a candidate adder netlist (w+1 outputs, unsigned decode).
-std::vector<std::int64_t> sum_table(const circuit::netlist& nl,
-                                    const adder_spec& spec);
 
 /// WMED over adders: D-weighted (operand A) mean (operand B) absolute sum
 /// error, normalized by the output range.  In [0, 1].

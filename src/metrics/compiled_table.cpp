@@ -28,13 +28,12 @@ std::vector<std::int32_t> narrow_table(std::vector<std::int64_t> wide) {
 // The int32 in-memory table caps the width (2^(2w) entries, int32 results);
 // checked before the characterization runs, so an oversized spec aborts
 // loudly instead of attempting a gigabyte-scale fill.  The int64
-// result_table()/result_table_wide() builders are only bounded by the
-// simulator's input limit.
+// result_table() builder is only bounded by the simulator's input limit.
 template <component_spec Spec>
 std::vector<std::int32_t> build_narrow(const circuit::netlist& nl,
                                        const Spec& spec) {
   AXC_EXPECTS(spec.width <= 12);
-  return narrow_table(result_table_wide(nl, spec));
+  return narrow_table(result_table(nl, spec));
 }
 
 }  // namespace
@@ -43,20 +42,8 @@ template <component_spec Spec>
 std::vector<std::int64_t> result_table(const circuit::netlist& nl,
                                        const Spec& spec) {
   check_shape(nl, spec);
-  const std::vector<std::uint64_t> raw = circuit::evaluate_exhaustive(nl);
-  std::vector<std::int64_t> table(raw.size());
-  for (std::size_t v = 0; v < raw.size(); ++v) {
-    table[v] = spec.result_value(raw[v]);
-  }
-  return table;
-}
-
-template <component_spec Spec>
-std::vector<std::int64_t> result_table_wide(const circuit::netlist& nl,
-                                            const Spec& spec) {
-  check_shape(nl, spec);
-  constexpr std::size_t W = 8;
-  circuit::sim_program<W> program(nl);
+  constexpr std::size_t W = circuit::sim_program::lanes;
+  circuit::sim_program program(nl);
 
   const std::size_t ni = nl.num_inputs();
   const unsigned result_bits = spec.result_bits();
@@ -116,10 +103,6 @@ basic_compiled_table<Spec> basic_compiled_table<Spec>::exact(
 template std::vector<std::int64_t> result_table<mult_spec>(
     const circuit::netlist&, const mult_spec&);
 template std::vector<std::int64_t> result_table<adder_spec>(
-    const circuit::netlist&, const adder_spec&);
-template std::vector<std::int64_t> result_table_wide<mult_spec>(
-    const circuit::netlist&, const mult_spec&);
-template std::vector<std::int64_t> result_table_wide<adder_spec>(
     const circuit::netlist&, const adder_spec&);
 
 template class basic_compiled_table<mult_spec>;

@@ -8,10 +8,10 @@
 // and adders (sum tables) compile through one implementation, and future
 // component classes join for free.
 //
-// Characterization runs through the wide-lane sim_program<8> batch path
-// (cone-restricted compile, 512 assignments per pass) instead of the
-// per-block scalar simulator; result_table() keeps the scalar path as the
-// parity reference (bit-identical, test-asserted).
+// Characterization runs through circuit::sim_program (cone-restricted
+// table schedule, 512 assignments per pass) — the one netlist -> table
+// builder in src/.  Its parity oracle is the scalar simulate_block builder
+// test::scalar_result_table (tests/test_util.h).
 #pragma once
 
 #include <concepts>
@@ -26,27 +26,16 @@
 namespace axc::metrics {
 
 /// Decoded results of a candidate netlist for every operand-pattern pair:
-/// entry[(b << w) | a] (the functional signature).  Scalar reference path —
-/// single-lane simulate_block sweep, as the pre-compiled_table
-/// characterization ran.
+/// entry[(b << w) | a] (the functional signature: the product table of a
+/// multiplier, the sum table of an adder).  The netlist is compiled once
+/// (sim_program, cone-restricted) and filled eight blocks per pass.
 template <component_spec Spec>
 std::vector<std::int64_t> result_table(const circuit::netlist& nl,
                                        const Spec& spec);
 
-/// Same table through the wide-lane fast path: the netlist is compiled once
-/// (sim_program<8>, cone-restricted) and filled 8 blocks per pass.
-/// Bit-identical to result_table().
-template <component_spec Spec>
-std::vector<std::int64_t> result_table_wide(const circuit::netlist& nl,
-                                            const Spec& spec);
-
 extern template std::vector<std::int64_t> result_table<mult_spec>(
     const circuit::netlist&, const mult_spec&);
 extern template std::vector<std::int64_t> result_table<adder_spec>(
-    const circuit::netlist&, const adder_spec&);
-extern template std::vector<std::int64_t> result_table_wide<mult_spec>(
-    const circuit::netlist&, const mult_spec&);
-extern template std::vector<std::int64_t> result_table_wide<adder_spec>(
     const circuit::netlist&, const adder_spec&);
 
 template <component_spec Spec>

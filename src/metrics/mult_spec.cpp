@@ -1,7 +1,5 @@
 #include "metrics/mult_spec.h"
 
-#include "metrics/compiled_table.h"
-
 namespace axc::metrics {
 
 std::vector<std::int64_t> exact_product_table(const mult_spec& spec) {
@@ -14,11 +12,6 @@ std::vector<std::int64_t> exact_product_table(const mult_spec& spec) {
     }
   }
   return table;
-}
-
-std::vector<std::int64_t> product_table(const circuit::netlist& nl,
-                                        const mult_spec& spec) {
-  return result_table(nl, spec);
 }
 
 }  // namespace axc::metrics

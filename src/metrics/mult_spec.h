@@ -7,10 +7,9 @@
 // complement.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "circuit/netlist.h"
 
 namespace axc::metrics {
 
@@ -70,10 +69,5 @@ std::vector<std::int64_t> exact_product_table(const mult_spec& spec);
 inline std::vector<std::int64_t> exact_result_table(const mult_spec& spec) {
   return exact_product_table(spec);
 }
-
-/// Product table of a candidate netlist (its functional signature):
-/// entry[(b << w) | a] = decoded product for operand patterns a, b.
-std::vector<std::int64_t> product_table(const circuit::netlist& nl,
-                                        const mult_spec& spec);
 
 }  // namespace axc::metrics

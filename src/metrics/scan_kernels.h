@@ -1,7 +1,7 @@
 // Runtime-dispatched batched error-plane scan kernels — the SIMD inner loop
 // of the WMED sweep (see README.md in this directory).
 //
-// One kernel call scores one full sim_program<8> pass: all eight 64-assignment
+// One kernel call scores one full sim_program pass: all eight 64-assignment
 // blocks at once.  For every result plane p it forms the bit-plane difference
 // exact - candidate with a vectorized borrow-propagate subtract, conditionally
 // negates the 64+8 signed differences, and folds the absolute values into

@@ -151,7 +151,7 @@ double basic_wmed_evaluator<Spec>::weighted_total() const {
 }
 
 template <component_spec Spec>
-double basic_wmed_evaluator<Spec>::sweep(circuit::sim_program<kLanes>& program,
+double basic_wmed_evaluator<Spec>::sweep(circuit::sim_program& program,
                                          double abort_above) {
   const shared_state& s = *shared_;
   const unsigned w = s.spec.width;
@@ -218,7 +218,7 @@ double basic_wmed_evaluator<Spec>::evaluate(const circuit::netlist& nl,
 
 template <component_spec Spec>
 double basic_wmed_evaluator<Spec>::evaluate_program(
-    circuit::sim_program<kLanes>& program, double abort_above) {
+    circuit::sim_program& program, double abort_above) {
   AXC_EXPECTS(program.num_inputs() == 2 * shared_->spec.width);
   AXC_EXPECTS(program.num_outputs() == shared_->spec.result_bits());
   // External programs (cone_program) sweep on this evaluator's backend too.

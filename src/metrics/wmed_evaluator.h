@@ -32,7 +32,7 @@
 //     holds all of B, each value repeated 2^(6-w) times, and the block
 //     total is shifted right by 6 - w — the weights are never divided, so
 //     subnormal masses keep every bit.
-//  2. *Cone-restricted wide-lane simulation* via circuit::sim_program<8>,
+//  2. *Cone-restricted wide-lane simulation* via circuit::sim_program,
 //     skipping inactive CGP gates and evaluating 8 blocks per pass.
 //  3. *Batched, runtime-dispatched scoring.*  One scan_batch kernel call
 //     scores a whole pass — the bit-plane subtract/negate/popcount runs
@@ -53,7 +53,7 @@
 //     zero per-pass index math or input broadcasting.
 //
 // Besides evaluate(netlist), evaluate_program() runs the same sweep over an
-// externally compiled/patched sim_program<8> — the genotype-native
+// externally compiled/patched sim_program — the genotype-native
 // incremental search path (cgp::cone_program), which never materializes a
 // netlist per mutant.
 //
@@ -84,7 +84,7 @@ namespace axc::metrics {
 template <component_spec Spec>
 class basic_wmed_evaluator {
  public:
-  static constexpr std::size_t lanes = 8;
+  static constexpr std::size_t lanes = circuit::sim_program::lanes;
 
   /// Everything the sweep needs that is a pure function of
   /// (spec, distribution): the per-operand weights, the precompiled bit
@@ -116,7 +116,7 @@ class basic_wmed_evaluator {
     /// block_order[pass * lanes + l].
     std::vector<std::uint64_t> exact_planes;
     /// Primary-input planes in sweep order, in exactly the lane-major layout
-    /// sim_program<8>::run consumes: word [(pass * 2w + i) * lanes + l] is
+    /// sim_program::run consumes: word [(pass * 2w + i) * lanes + l] is
     /// input i of block block_order[pass * lanes + l].  Precompiling this
     /// retires the per-pass operand bit-broadcast fill (O(2w * lanes) scalar
     /// stores per pass, previously redone on every evaluation).
@@ -147,7 +147,7 @@ class basic_wmed_evaluator {
   /// program with 2w inputs and result_bits() outputs.  Bit-identical to
   /// evaluate() on the netlist the program models.
   double evaluate_program(
-      circuit::sim_program<lanes>& program,
+      circuit::sim_program& program,
       double abort_above = std::numeric_limits<double>::infinity());
 
   [[nodiscard]] const Spec& spec() const { return shared_->spec; }
@@ -163,7 +163,7 @@ class basic_wmed_evaluator {
 
   /// The operand-major bit-plane sweep shared by evaluate() and
   /// evaluate_program().
-  double sweep(circuit::sim_program<kLanes>& program, double abort_above);
+  double sweep(circuit::sim_program& program, double abort_above);
   /// Fixed-order weighted reduction of err_sums_ (the exact
   /// order-independent WMED of a completed sweep).
   [[nodiscard]] double weighted_total() const;
@@ -173,7 +173,7 @@ class basic_wmed_evaluator {
   scan_batch_fn kernel_{nullptr};
   /// Exact per-operand-A absolute error totals (int64, order-independent).
   std::vector<std::int64_t> err_sums_;
-  circuit::sim_program<kLanes> program_;
+  circuit::sim_program program_;
   /// Candidate output plane rows inside the program's slot buffer (filled
   /// once per sweep via sim_program::output_rows).
   std::vector<const std::uint64_t*> out_rows_;

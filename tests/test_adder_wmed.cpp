@@ -12,6 +12,7 @@
 #include "core/wmed_approximator.h"
 #include "dist/pmf.h"
 #include "metrics/adder_metrics.h"
+#include "metrics/compiled_table.h"
 #include "metrics/wmed_evaluator.h"
 #include "mult/adders.h"
 #include "mult/approx_adders.h"
@@ -58,7 +59,7 @@ TEST(adder_fast_path, matches_table_reference_across_distributions) {
     adder_wmed_evaluator evaluator(spec, d);
     for (const auto& [name, nl] : candidate_adders(8)) {
       const double fast = evaluator.evaluate(nl);
-      const double table = adder_wmed(exact, sum_table(nl, spec), spec, d);
+      const double table = adder_wmed(exact, result_table(nl, spec), spec, d);
       EXPECT_NEAR(fast, table, 1e-13) << name;
       EXPECT_NEAR(test::natural_order_wmed(spec, evaluator.shared()->weight,
                                            nl),
@@ -88,7 +89,7 @@ TEST(adder_fast_path, matches_tables_on_mutated_cgp_candidates) {
 
   for (int step = 0; step < 6; ++step) {
     const circuit::netlist nl = g.decode_cone();
-    const double table = adder_wmed(exact, sum_table(nl, spec), spec, d);
+    const double table = adder_wmed(exact, result_table(nl, spec), spec, d);
     EXPECT_NEAR(evaluator.evaluate(nl), table, 1e-12) << "step " << step;
     for (int m = 0; m < 4; ++m) g.mutate(gen);
   }
@@ -129,9 +130,9 @@ TEST(adder_fast_path, skewed_distribution_reweights_like_the_tables) {
   adder_wmed_evaluator flat_eval(spec, flat);
   const double skewed = skew_eval.evaluate(loa);
   const double uniform = flat_eval.evaluate(loa);
-  EXPECT_NEAR(skewed, adder_wmed(exact, sum_table(loa, spec), spec, skew),
+  EXPECT_NEAR(skewed, adder_wmed(exact, result_table(loa, spec), spec, skew),
               1e-13);
-  EXPECT_NEAR(uniform, adder_wmed(exact, sum_table(loa, spec), spec, flat),
+  EXPECT_NEAR(uniform, adder_wmed(exact, result_table(loa, spec), spec, flat),
               1e-13);
   EXPECT_NE(skewed, uniform);
 }
@@ -163,7 +164,7 @@ TEST(adder_approximator, evolves_adders_through_the_fast_path) {
     // The reported WMED agrees with the table-based definition.
     EXPECT_NEAR(design.wmed,
                 metrics::adder_wmed(
-                    exact, metrics::sum_table(design.netlist, config.spec),
+                    exact, metrics::result_table(design.netlist, config.spec),
                     config.spec, config.distribution),
                 1e-12);
   }

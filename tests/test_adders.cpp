@@ -16,7 +16,7 @@ TEST_P(adder_widths, ripple_adder_exhaustively_correct) {
   ASSERT_EQ(nl.num_outputs(), std::size_t{w} + 1);
   ASSERT_TRUE(nl.validate().empty());
 
-  const auto table = circuit::evaluate_exhaustive(nl);
+  const auto table = test::evaluate_exhaustive(nl);
   for (std::uint64_t b = 0; b < (1u << w); ++b) {
     for (std::uint64_t a = 0; a < (1u << w); ++a) {
       EXPECT_EQ(table[(b << w) | a], a + b)
@@ -36,7 +36,7 @@ TEST(build_adder, zero_extension_for_short_operand) {
   const auto sum = build_adder(nl, a, b, 5, /*sign_extend=*/false);
   for (std::size_t i = 0; i < 5; ++i) nl.set_output(i, sum[i]);
 
-  const auto table = circuit::evaluate_exhaustive(nl);
+  const auto table = test::evaluate_exhaustive(nl);
   for (std::uint64_t v = 0; v < 64; ++v) {
     const std::uint64_t av = v & 3;
     const std::uint64_t bv = v >> 2;
@@ -52,7 +52,7 @@ TEST(build_adder, sign_extension_for_short_operand) {
   const auto sum = build_adder(nl, a, b, 4, /*sign_extend=*/true);
   for (std::size_t i = 0; i < 4; ++i) nl.set_output(i, sum[i]);
 
-  const auto table = circuit::evaluate_exhaustive(nl);
+  const auto table = test::evaluate_exhaustive(nl);
   for (std::uint64_t v = 0; v < 64; ++v) {
     const std::int64_t av = test::as_value(v & 3, 2, true);
     const std::uint64_t bv = v >> 2;
@@ -70,7 +70,7 @@ TEST(build_adder, result_truncated_modulo) {
   const auto sum = build_adder(nl, a, b, 4, false);
   for (std::size_t i = 0; i < 4; ++i) nl.set_output(i, sum[i]);
 
-  const auto table = circuit::evaluate_exhaustive(nl);
+  const auto table = test::evaluate_exhaustive(nl);
   for (std::uint64_t v = 0; v < 256; ++v) {
     EXPECT_EQ(table[v], ((v & 15) + (v >> 4)) & 15);
   }

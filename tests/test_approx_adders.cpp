@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/adder_metrics.h"
+#include "metrics/compiled_table.h"
 #include "mult/adders.h"
 #include "mult/approx_adders.h"
 
@@ -24,7 +25,7 @@ class loa_param : public ::testing::TestWithParam<unsigned> {};
 TEST_P(loa_param, matches_behavioural_model) {
   const unsigned w = 6, k = GetParam();
   const circuit::netlist nl = lower_or_adder(w, k);
-  const auto table = metrics::sum_table(nl, adder_spec{w});
+  const auto table = metrics::result_table(nl, adder_spec{w});
   for (std::uint64_t b = 0; b < 64; ++b) {
     for (std::uint64_t a = 0; a < 64; ++a) {
       EXPECT_EQ(table[(b << w) | a], reference_loa(a, b, w, k))
@@ -38,20 +39,20 @@ INSTANTIATE_TEST_SUITE_P(approx_bits, loa_param,
 
 TEST(lower_or_adder, zero_approx_bits_is_exact) {
   const adder_spec spec{8};
-  EXPECT_EQ(metrics::sum_table(lower_or_adder(8, 0), spec),
+  EXPECT_EQ(metrics::result_table(lower_or_adder(8, 0), spec),
             metrics::exact_sum_table(spec));
 }
 
 TEST(segmented_adder, full_segment_is_exact) {
   const adder_spec spec{8};
-  EXPECT_EQ(metrics::sum_table(segmented_adder(8, 8), spec),
+  EXPECT_EQ(metrics::result_table(segmented_adder(8, 8), spec),
             metrics::exact_sum_table(spec));
 }
 
 TEST(segmented_adder, drops_inter_segment_carries) {
   const unsigned w = 6, seg = 2;
   const circuit::netlist nl = segmented_adder(w, seg);
-  const auto table = metrics::sum_table(nl, adder_spec{w});
+  const auto table = metrics::result_table(nl, adder_spec{w});
   for (std::uint64_t b = 0; b < 64; ++b) {
     for (std::uint64_t a = 0; a < 64; ++a) {
       std::uint64_t expected = 0;
@@ -71,7 +72,7 @@ TEST(segmented_adder, drops_inter_segment_carries) {
 TEST(truncated_adder, matches_model) {
   const unsigned w = 6, k = 3;
   const circuit::netlist nl = truncated_adder(w, k);
-  const auto table = metrics::sum_table(nl, adder_spec{w});
+  const auto table = metrics::result_table(nl, adder_spec{w});
   for (std::uint64_t b = 0; b < 64; ++b) {
     for (std::uint64_t a = 0; a < 64; ++a) {
       const std::uint64_t expected = ((a >> k) + (b >> k)) << k;
@@ -83,7 +84,7 @@ TEST(truncated_adder, matches_model) {
 TEST(adder_wmed, exact_adder_scores_zero) {
   const adder_spec spec{6};
   const auto exact = metrics::exact_sum_table(spec);
-  const auto sums = metrics::sum_table(ripple_adder(6), spec);
+  const auto sums = metrics::result_table(ripple_adder(6), spec);
   EXPECT_DOUBLE_EQ(
       metrics::adder_wmed(exact, sums, spec, dist::pmf::uniform(64)), 0.0);
 }
@@ -94,7 +95,7 @@ TEST(adder_wmed, bounded_and_monotone_in_approximation) {
   const dist::pmf d = dist::pmf::half_normal(256, 40.0);
   double previous = -1.0;
   for (const unsigned k : {0u, 2u, 4u, 6u}) {
-    const auto sums = metrics::sum_table(lower_or_adder(8, k), spec);
+    const auto sums = metrics::result_table(lower_or_adder(8, k), spec);
     const double e = metrics::adder_wmed(exact, sums, spec, d);
     EXPECT_GE(e, 0.0);
     EXPECT_LE(e, 1.0);
@@ -108,7 +109,7 @@ TEST(adder_wmed, distribution_weighting_matters) {
   // operand A toward zero (whose low bits are zero) reduces WMED.
   const adder_spec spec{8};
   const auto exact = metrics::exact_sum_table(spec);
-  const auto sums = metrics::sum_table(lower_or_adder(8, 4), spec);
+  const auto sums = metrics::result_table(lower_or_adder(8, 4), spec);
   std::vector<double> zero_heavy(256, 0.01);
   zero_heavy[0] = 10.0;
   const double skew = metrics::adder_wmed(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/structural.h"
+#include "metrics/compiled_table.h"
 #include "metrics/error_metrics.h"
 #include "metrics/mult_spec.h"
 #include "mult/booth.h"
@@ -18,7 +19,7 @@ TEST_P(booth_widths, exhaustively_correct_signed) {
   const circuit::netlist nl = booth_multiplier(w);
   ASSERT_TRUE(nl.validate().empty());
   const mult_spec spec{w, true};
-  const auto table = metrics::product_table(nl, spec);
+  const auto table = metrics::result_table(nl, spec);
   const auto exact = metrics::exact_product_table(spec);
   for (std::size_t v = 0; v < table.size(); ++v) {
     ASSERT_EQ(table[v], exact[v])
@@ -32,7 +33,7 @@ INSTANTIATE_TEST_SUITE_P(even_widths, booth_widths,
 TEST(booth_multiplier, wallace_schedule_also_exact) {
   const circuit::netlist nl = booth_multiplier(8, schedule::wallace);
   const mult_spec spec{8, true};
-  EXPECT_EQ(metrics::product_table(nl, spec),
+  EXPECT_EQ(metrics::result_table(nl, spec),
             metrics::exact_product_table(spec));
 }
 

@@ -1,8 +1,8 @@
 // Parity of the wide-lane batch characterization (compiled_table /
-// result_table_wide) against the scalar simulate_block reference
-// (result_table), for exact, hand-built approximate, and evolved mult and
-// adder netlists — the contract the deployment pipeline's fast path rests
-// on.
+// result_table) against the scalar simulate_block oracle
+// (test::scalar_result_table), for exact, hand-built approximate, and
+// evolved mult and adder netlists — the contract the deployment pipeline's
+// fast path rests on.
 #include <gtest/gtest.h>
 
 #include "core/wmed_approximator.h"
@@ -11,14 +11,15 @@
 #include "mult/approx_adders.h"
 #include "mult/lut.h"
 #include "mult/multipliers.h"
+#include "test_util.h"
 
 namespace axc::metrics {
 namespace {
 
 template <component_spec Spec>
 void expect_wide_matches_scalar(const circuit::netlist& nl, const Spec& spec) {
-  const std::vector<std::int64_t> scalar = result_table(nl, spec);
-  const std::vector<std::int64_t> wide = result_table_wide(nl, spec);
+  const std::vector<std::int64_t> scalar = test::scalar_result_table(nl, spec);
+  const std::vector<std::int64_t> wide = result_table(nl, spec);
   ASSERT_EQ(scalar.size(), wide.size());
   EXPECT_EQ(scalar, wide);
 

@@ -5,6 +5,7 @@
 #include "core/wmed_approximator.h"
 #include "data/digits.h"
 #include "imgproc/gaussian_filter.h"
+#include "metrics/compiled_table.h"
 #include "metrics/error_metrics.h"
 #include "metrics/wmed_evaluator.h"
 #include "mult/lut.h"
@@ -75,7 +76,7 @@ TEST(integration, error_map_reflects_distribution) {
       approx.approximate(mult::unsigned_multiplier(6), 0.01);
 
   const auto exact = metrics::exact_product_table(spec);
-  const auto table = metrics::product_table(design.netlist, spec);
+  const auto table = metrics::result_table(design.netlist, spec);
   const auto map = metrics::error_map(exact, table, spec);
 
   // Mean |error| over rows with small operand A (heavy weight) vs rows with

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "dist/pmf.h"
+#include "metrics/compiled_table.h"
 #include "metrics/error_metrics.h"
 #include "metrics/mult_spec.h"
 #include "mult/multipliers.h"
@@ -52,7 +53,7 @@ TEST_P(spec_param, exact_multiplier_has_zero_error) {
                                   ? mult::signed_multiplier(spec.width)
                                   : mult::unsigned_multiplier(spec.width);
   const auto exact = exact_product_table(spec);
-  const auto approx = product_table(nl, spec);
+  const auto approx = result_table(nl, spec);
   EXPECT_DOUBLE_EQ(med(exact, approx, spec), 0.0);
   EXPECT_DOUBLE_EQ(worst_case_error(exact, approx, spec), 0.0);
   EXPECT_DOUBLE_EQ(error_rate(exact, approx), 0.0);
@@ -71,7 +72,7 @@ TEST(wmed, uniform_reduces_to_med) {
   const mult_spec spec{4, false};
   const auto exact = exact_product_table(spec);
   const circuit::netlist approx_nl = mult::truncated_multiplier(4, 3);
-  const auto approx = product_table(approx_nl, spec);
+  const auto approx = result_table(approx_nl, spec);
   const dist::pmf du = dist::pmf::uniform(16);
   EXPECT_NEAR(wmed(exact, approx, spec, du), med(exact, approx, spec),
               1e-15);
@@ -121,7 +122,7 @@ TEST(wmed, linear_in_distribution_blend) {
   const mult_spec spec{4, false};
   const auto exact = exact_product_table(spec);
   const auto approx =
-      product_table(mult::broken_array_multiplier(4, 1, 2), spec);
+      result_table(mult::broken_array_multiplier(4, 1, 2), spec);
   const dist::pmf a = dist::pmf::uniform(16);
   const dist::pmf b = dist::pmf::half_normal(16, 3.0);
   const double ea = wmed(exact, approx, spec, a);
@@ -182,7 +183,7 @@ TEST(error_map, localizes_errors) {
 TEST(error_map, truncation_errors_concentrate_at_large_operands) {
   const mult_spec spec{8, false};
   const auto exact = exact_product_table(spec);
-  const auto approx = product_table(mult::truncated_multiplier(8, 8), spec);
+  const auto approx = result_table(mult::truncated_multiplier(8, 8), spec);
   const auto map = error_map(exact, approx, spec);
   const auto grid = downsample_error_map(map, spec, 4);
   // Dropping low columns hurts everywhere but exact zero rows/cols survive;
@@ -194,7 +195,7 @@ TEST(downsample_error_map, preserves_total_mean) {
   const mult_spec spec{4, false};
   const auto exact = exact_product_table(spec);
   const auto approx =
-      product_table(mult::broken_array_multiplier(4, 1, 3), spec);
+      result_table(mult::broken_array_multiplier(4, 1, 3), spec);
   const auto map = error_map(exact, approx, spec);
   const auto grid = downsample_error_map(map, spec, 4);
   double mean_map = 0.0, mean_grid = 0.0;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/simulator.h"
+#include "metrics/compiled_table.h"
 #include "metrics/error_metrics.h"
 #include "metrics/mult_spec.h"
 #include "mult/multipliers.h"
@@ -15,7 +16,7 @@ void expect_exact(const circuit::netlist& nl, unsigned width,
                   bool is_signed) {
   ASSERT_TRUE(nl.validate().empty());
   const mult_spec spec{width, is_signed};
-  const auto table = metrics::product_table(nl, spec);
+  const auto table = metrics::result_table(nl, spec);
   const auto exact = metrics::exact_product_table(spec);
   for (std::size_t v = 0; v < table.size(); ++v) {
     ASSERT_EQ(table[v], exact[v])
@@ -89,7 +90,7 @@ class truncated_param : public ::testing::TestWithParam<unsigned> {};
 TEST_P(truncated_param, truncation_semantics) {
   const unsigned dropped = GetParam();
   const circuit::netlist nl = truncated_multiplier(4, dropped);
-  const auto table = metrics::product_table(nl, mult_spec{4, false});
+  const auto table = metrics::result_table(nl, mult_spec{4, false});
   for (std::uint64_t b = 0; b < 16; ++b) {
     for (std::uint64_t a = 0; a < 16; ++a) {
       // Reference: sum of kept partial products.
@@ -122,7 +123,7 @@ TEST(truncated_multiplier, error_grows_with_truncation) {
   double previous = -1.0;
   for (const unsigned dropped : {0u, 2u, 4u, 6u, 8u, 10u}) {
     const auto table =
-        metrics::product_table(truncated_multiplier(8, dropped), spec);
+        metrics::result_table(truncated_multiplier(8, dropped), spec);
     const double e = metrics::med(exact, table, spec);
     EXPECT_GT(e, previous);
     previous = e;
@@ -148,7 +149,7 @@ TEST(broken_array_multiplier, semantics_match_model) {
   // Kept partial products: j >= hbl and i + j >= vbl.
   const unsigned hbl = 1, vbl = 3;
   const circuit::netlist nl = broken_array_multiplier(4, hbl, vbl);
-  const auto table = metrics::product_table(nl, mult_spec{4, false});
+  const auto table = metrics::result_table(nl, mult_spec{4, false});
   for (std::uint64_t b = 0; b < 16; ++b) {
     for (std::uint64_t a = 0; a < 16; ++a) {
       std::int64_t expected = 0;
@@ -172,15 +173,15 @@ TEST(broken_array_multiplier, deeper_breaks_cost_less_err_more) {
   const auto deep = broken_array_multiplier(8, 3, 6);
   EXPECT_LT(deep.active_gate_count(), shallow.active_gate_count());
   EXPECT_GT(
-      metrics::med(exact, metrics::product_table(deep, spec), spec),
-      metrics::med(exact, metrics::product_table(shallow, spec), spec));
+      metrics::med(exact, metrics::result_table(deep, spec), spec),
+      metrics::med(exact, metrics::result_table(shallow, spec), spec));
 }
 
 TEST(zero_exact_wrapper, forces_zero_products) {
   // Wrap a deliberately broken multiplier; zero operands must still yield 0.
   const circuit::netlist broken = truncated_multiplier(4, 5);
   const circuit::netlist wrapped = zero_exact_wrapper(broken, 4);
-  const auto table = metrics::product_table(wrapped, mult_spec{4, false});
+  const auto table = metrics::result_table(wrapped, mult_spec{4, false});
   for (std::uint64_t x = 0; x < 16; ++x) {
     EXPECT_EQ(table[(x << 4) | 0], 0) << "a=0 b=" << x;
     EXPECT_EQ(table[(0 << 4) | x], 0) << "a=" << x << " b=0";
@@ -190,9 +191,9 @@ TEST(zero_exact_wrapper, forces_zero_products) {
 TEST(zero_exact_wrapper, preserves_nonzero_behaviour) {
   const circuit::netlist inner = truncated_multiplier(4, 3);
   const circuit::netlist wrapped = zero_exact_wrapper(inner, 4);
-  const auto inner_table = metrics::product_table(inner, mult_spec{4, false});
+  const auto inner_table = metrics::result_table(inner, mult_spec{4, false});
   const auto wrapped_table =
-      metrics::product_table(wrapped, mult_spec{4, false});
+      metrics::result_table(wrapped, mult_spec{4, false});
   for (std::uint64_t b = 1; b < 16; ++b) {
     for (std::uint64_t a = 1; a < 16; ++a) {
       EXPECT_EQ(wrapped_table[(b << 4) | a], inner_table[(b << 4) | a]);
@@ -250,7 +251,7 @@ TEST(filtered_multiplier, custom_keep_predicate) {
   const circuit::netlist nl = filtered_multiplier(
       4, false, schedule::ripple,
       [](unsigned i, unsigned j) { return i == j; });
-  const auto table = metrics::product_table(nl, mult_spec{4, false});
+  const auto table = metrics::result_table(nl, mult_spec{4, false});
   for (std::uint64_t b = 0; b < 16; ++b) {
     for (std::uint64_t a = 0; a < 16; ++a) {
       std::int64_t expected = 0;

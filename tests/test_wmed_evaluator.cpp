@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "dist/pmf.h"
+#include "metrics/compiled_table.h"
 #include "metrics/error_metrics.h"
 #include "metrics/wmed_evaluator.h"
 #include "mult/multipliers.h"
@@ -32,7 +33,7 @@ TEST_P(evaluator_param, matches_reference_wmed) {
                                              spec.is_signed),
         mult::broken_array_multiplier(spec.width, 1, spec.width / 2,
                                       spec.is_signed)}) {
-    const auto table = product_table(nl, spec);
+    const auto table = result_table(nl, spec);
     const double reference = wmed(exact, table, spec, d);
     EXPECT_NEAR(evaluator.evaluate(nl), reference, 1e-12);
   }

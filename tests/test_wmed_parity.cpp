@@ -9,6 +9,7 @@
 
 #include "cgp/genotype.h"
 #include "dist/pmf.h"
+#include "metrics/compiled_table.h"
 #include "metrics/error_metrics.h"
 #include "metrics/wmed_evaluator.h"
 #include "mult/multipliers.h"
@@ -63,7 +64,7 @@ TEST(wmed_fast_path, matches_table_based_wmed_on_mutated_candidates) {
 
   for (int step = 0; step < 6; ++step) {
     const circuit::netlist nl = g.decode_cone();
-    const auto table = product_table(nl, spec);
+    const auto table = result_table(nl, spec);
     const double reference = wmed(exact, table, spec, d);
     EXPECT_NEAR(evaluator.evaluate(nl), reference, 1e-12) << "step " << step;
     for (int m = 0; m < 5; ++m) g.mutate(gen);
@@ -89,7 +90,7 @@ TEST(wmed_fast_path, reordered_sweep_value_is_visit_order_independent) {
   // Same candidate under uniform weights (natural visit order) agrees with
   // the table-based definition, as does the skewed evaluator.
   const auto exact = exact_product_table(spec);
-  const auto table = product_table(nl, spec);
+  const auto table = result_table(nl, spec);
   EXPECT_NEAR(first,
               wmed(exact, table, spec, dist::pmf::half_normal(256, 20.0)),
               1e-12);
