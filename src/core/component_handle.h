@@ -86,8 +86,8 @@ class component_handle {
 
   /// Exhaustive behavioural characterization of `nl` under this
   /// component's spec: decoded results for every operand-pattern pair,
-  /// entry[(b << w) | a] (the compiled-table fast path).  What the result
-  /// store publishes under kind "table", keyed by fingerprint().
+  /// entry[(b << w) | a] (the compiled-table fast path).  What the server's
+  /// `table` verb stores under kind "table", keyed by the spec's table_key().
   [[nodiscard]] std::vector<std::int64_t> characterize(
       const circuit::netlist& nl) const {
     return get().characterize(nl);

@@ -274,6 +274,7 @@ bool result_server::start() {
       return false;
     }
   }
+  publisher_ = result_store::open(config_.store_dir);
 #if AXC_HAS_NET
   // Close-on-exec, like every fd the daemon owns: the workers it spawns
   // must not inherit the stop pipe, the listener or client connections.
@@ -366,11 +367,8 @@ serve_reply result_server::serve_front(std::uint64_t key,
 serve_reply result_server::serve_table(const serve_request& request) {
   const component_handle handle = request.spec.make_component();
   if (!handle) return serve_reply{.status = "error"};
-  // Tables characterize the component alone — the plan (targets, runs)
-  // cannot change a truth table — so the key is the bare fingerprint,
-  // shared by every sweep of the same component config.
-  const std::string key16 =
-      result_store::format_key(handle.fingerprint());
+  // The plan cannot change a truth table: one key per component and seed.
+  const std::string key16 = result_store::format_key(request.spec.table_key());
   {
     std::scoped_lock lock(store_mutex_);
     if (store_) {
@@ -528,6 +526,7 @@ void result_server::run_job(std::uint64_t key, job& item) {
   cfg.work_dir = config_.work_dir + "/sweeps/" + key16;
   cfg.worker_binary = config_.worker_binary;
   cfg.store_dir = config_.store_dir;
+  cfg.store = publisher_ ? &*publisher_ : nullptr;
   // The job queue dispatches through the node pool when a fleet is
   // configured; each sweep gets its own pool (health is cheap to relearn
   // per job, and a poisoned node cannot wedge the queue across jobs).

@@ -17,9 +17,9 @@
 //     (explicit `miss-rejected` backpressure, never silent tail growth),
 //     and `status` / `wait` verbs poll or block on the in-flight job;
 //   * `table` requests serve compiled characterization tables (store
-//     kind "table", keyed by the component fingerprint alone — the plan
-//     doesn't affect a table), built on demand from the spec's seed
-//     netlist when not yet stored;
+//     kind "table", keyed by sweep_spec::table_key(): component and seed,
+//     not the plan).  Their only producer: the first request builds and
+//     stores the seed's table, later ones are store hits;
 //   * the server inherits the repo's killability contract.  Every
 //     accepted miss is journaled (`<work_dir>/server.journal`, CRC'd
 //     lines: header `serve v1`, then `enqueue/done/fail <key16>`) with
@@ -206,6 +206,9 @@ class result_server {
   server_config config_;
   std::optional<result_store> store_;
   mutable std::mutex store_mutex_;
+  /// The worker thread's own handle for run_sweep's publishes, opened once:
+  /// puts never wait on store_mutex_, and no miss reloads the index.
+  std::optional<result_store> publisher_;
 
   // Job queue + coalescing map, all under jobs_mutex_; jobs_cv_ wakes the
   // worker thread and any `wait` verbs blocked on a key.  Lock order:

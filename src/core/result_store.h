@@ -35,10 +35,11 @@
 //
 // Keys are caller-chosen single tokens (no whitespace); the convention for
 // search artifacts is format_key(fingerprint) — the PR 5 config
-// fingerprint hex — optionally folded with a plan hash (see
-// sweep_spec::store_key()).  Kinds in use: "session" (finished
-// search_session checkpoints), "front" (serialize_front text), "rerank"
-// (persisted rerank caches).  The store itself is kind-agnostic.
+// fingerprint hex — folded with the seed and optionally a plan hash (see
+// sweep_spec::table_key() / store_key()).  Kinds in use: "session"
+// (finished search_session checkpoints), "front" (serialize_front text),
+// "table" (serialize_table text), "rerank" (persisted rerank caches).
+// The store itself is kind-agnostic.
 //
 // Fault injection points (support/fault.h): `store-put-fail` /
 // `store-put-truncate` / `store-put-dirsync-fail` on the object write,
@@ -204,7 +205,7 @@ class result_store {
     std::string_view text);
 
 /// "axc-table v1" text serialization of a compiled behavioural table (the
-/// store's "table" kind, keyed by component fingerprint): decoded results
+/// store's "table" kind, keyed by sweep_spec::table_key()): decoded results
 /// for every operand-pattern pair, entry[(b << w) | a], exact integers so
 /// the round trip is trivially bit-exact.  Parsing is strict: a count
 /// mismatch, non-integer token or missing terminator returns nullopt.

@@ -234,6 +234,12 @@ journal_replay load_journal(const std::string& path, std::uint64_t key,
   return replay;
 }
 
+/// One FNV-1a step over a 64-bit word (the store-key fold).
+void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  h ^= v;
+  h *= 0x100000001b3ULL;
+}
+
 /// Appends one coordinator journal record.  Failure is ignored: a lost
 /// record only costs redundant work on the next life, never correctness.
 void note(const std::string& journal, std::string_view body) {
@@ -246,21 +252,31 @@ component_handle sweep_spec::make_component() const {
   return component_registry::instance().make(component, options);
 }
 
-std::uint64_t sweep_spec::store_key() const {
+std::uint64_t sweep_spec::table_key() const {
   const component_handle handle = make_component();
   if (!handle) return 0;
   // The component fingerprint already covers every result-affecting option
-  // (incl. the distribution masses bit-for-bit); fold in the plan the same
-  // FNV-1a way so distinct target sets get distinct store identities.
+  // (incl. the distribution masses bit-for-bit) and the output count; fold
+  // in the seed's structure, not its serialization (hits compute this).
   std::uint64_t h = handle.fingerprint();
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(plan.runs_per_target);
-  mix(plan.targets.size());
+  fnv_mix(h, seed.num_inputs());
+  for (const circuit::gate_node& g : seed.gates()) {
+    fnv_mix(h, static_cast<std::uint64_t>(g.fn));
+    fnv_mix(h, (std::uint64_t{g.in0} << 32) | g.in1);
+  }
+  for (const std::uint32_t out : seed.outputs()) fnv_mix(h, out);
+  return h;
+}
+
+std::uint64_t sweep_spec::store_key() const {
+  std::uint64_t h = table_key();
+  if (h == 0) return 0;
+  // Fold in the plan the same way so distinct target sets get distinct
+  // store identities.
+  fnv_mix(h, plan.runs_per_target);
+  fnv_mix(h, plan.targets.size());
   for (const double target : plan.targets) {
-    mix(std::bit_cast<std::uint64_t>(target));
+    fnv_mix(h, std::bit_cast<std::uint64_t>(target));
   }
   return h;
 }
@@ -1086,7 +1102,9 @@ sweep_result run_sweep(const sweep_spec& spec,
     // Publish into the result store.  Content-addressed puts make this
     // idempotent, so every coordinator life re-publishes unconditionally
     // and the store converges on the uninterrupted run's exact contents.
-    auto store = result_store::open(cfg.store_dir);
+    std::optional<result_store> opened;
+    if (!cfg.store) opened = result_store::open(cfg.store_dir);
+    result_store* const store = opened ? &*opened : cfg.store;
     if (!store) {
       std::fprintf(stderr, "axc: run_sweep: cannot open store %s\n",
                    cfg.store_dir.c_str());
@@ -1094,12 +1112,10 @@ sweep_result run_sweep(const sweep_spec& spec,
     }
     for (const shard_state& s : states) {
       if (!s.outcome.completed) continue;
-      std::ifstream is(s.checkpoint_path, std::ios::binary);
-      if (!is) continue;
-      std::ostringstream buffer;
-      buffer << is.rdbuf();
+      const auto bytes = read_file_text(s.checkpoint_path);
+      if (!bytes) continue;
       const std::string key = result_store::format_key(s.store_key);
-      if (const auto hash = store->put("session", key, buffer.str())) {
+      if (const auto hash = store->put("session", key, *bytes)) {
         note(journal, "publish session " + key + " " + support::hex16(*hash));
       } else {
         std::fprintf(stderr, "axc: run_sweep: session publish failed (%s)\n",
@@ -1107,24 +1123,6 @@ sweep_result run_sweep(const sweep_spec& spec,
       }
     }
     if (result.complete) {
-      // Alongside the front, publish the component's compiled behavioural
-      // table (kind "table", keyed by the bare component fingerprint — the
-      // plan can't change a truth table) so the server can hand out
-      // characterization artifacts without re-simulating.  ~2^2w lookups'
-      // worth of work, negligible next to the sweep that just finished.
-      if (const component_handle component = spec.make_component()) {
-        const std::string tkey =
-            result_store::format_key(component.fingerprint());
-        const std::string table = serialize_table(
-            component.width(), component.characterize(spec.seed));
-        if (const auto hash = store->put("table", tkey, table)) {
-          note(journal,
-               "publish table " + tkey + " " + support::hex16(*hash));
-        } else {
-          std::fprintf(stderr, "axc: run_sweep: table publish failed (%s)\n",
-                       tkey.c_str());
-        }
-      }
       const std::string key = result_store::format_key(sweep_key);
       if (const auto hash =
               store->put("front", key, serialize_front(result.front))) {

@@ -92,6 +92,8 @@
 
 namespace axc::core {
 
+class result_store;
+
 /// Everything needed to rebuild one sweep in a fresh process.  Components
 /// are rebuilt by name through the component_registry with these options;
 /// the cell library and SIMD level are not serialized (workers use the
@@ -132,12 +134,16 @@ struct sweep_spec {
   [[nodiscard]] static std::optional<sweep_spec> read_file(
       const std::string& path);
 
-  /// Stable identity of this sweep for the result store and coordinator
-  /// journal: the component fingerprint (every result-affecting knob,
-  /// incl. the distribution masses bit-for-bit) FNV-folded with the plan
-  /// (target bits + runs_per_target).  Two specs share a key iff they
-  /// produce bit-identical sweep results.  0 when the component is
+  /// Identity of the seed's table (store kind "table"): the component
+  /// fingerprint (every result-affecting knob, incl. the distribution
+  /// masses bit-for-bit) FNV-folded with the seed netlist's structure (input
+  /// count, every gate's fn/in0/in1, the outputs).  0 when the component is
   /// unknown to the registry.
+  [[nodiscard]] std::uint64_t table_key() const;
+  /// Stable identity of this sweep for the result store and coordinator
+  /// journal: table_key(), seed included, FNV-folded with the plan (target
+  /// bits + runs_per_target).  Two specs share a key iff they produce
+  /// bit-identical sweep results.  0 when table_key() is.
   [[nodiscard]] std::uint64_t store_key() const;
 };
 
@@ -218,9 +224,14 @@ struct shard_runner_config {
   /// root: every completed shard's checkpoint bytes under kind "session"
   /// (key = format_key of that shard spec's store_key()) and — only when
   /// the merge is complete — the serialize_front() text under kind "front"
-  /// (key = format_key(spec.store_key())).  Publishing is idempotent, so a
-  /// crashed-and-re-run coordinator converges on the same store contents.
+  /// (key = format_key(spec.store_key())); never a "table" (the server's
+  /// `table` verb builds those on request).  Publishing is idempotent, so
+  /// a crashed-and-re-run coordinator converges on the same contents.
   std::string store_dir{};
+  /// An open store at store_dir to publish through, so a caller that runs
+  /// many sweeps (the result server) skips the whole-index load of an open
+  /// per sweep.  Not owned; null = open store_dir.
+  result_store* store{nullptr};
   /// Nodes to lease shard launches to (core/node_pool.h).  Empty = one
   /// implicit local node with a slot per shard — exactly the single-box
   /// behavior this config had before multi-node dispatch existed.

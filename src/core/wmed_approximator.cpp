@@ -36,6 +36,7 @@ class incremental_wmed final : public cgp::incremental_evaluator {
                    const tech::cell_library& lib, double target,
                    simd::level simd)
       : evaluator_(std::move(cache), simd), lib_(&lib), target_(target) {
+    cone_.program().set_simd_level(evaluator_.simd_level());
     // Terms of the sweep's running sum: one per 64-assignment block.
     const double terms =
         static_cast<double>(evaluator_.shared()->block_count) + 1.0;

@@ -221,8 +221,6 @@ double basic_wmed_evaluator<Spec>::evaluate_program(
     circuit::sim_program& program, double abort_above) {
   AXC_EXPECTS(program.num_inputs() == 2 * shared_->spec.width);
   AXC_EXPECTS(program.num_outputs() == shared_->spec.result_bits());
-  // External programs (cone_program) sweep on this evaluator's backend too.
-  program.set_simd_level(simd_level_);
   return sweep(program, abort_above);
 }
 

@@ -145,7 +145,8 @@ class basic_wmed_evaluator {
 
   /// The same sweep over an already-compiled (or incrementally patched)
   /// program with 2w inputs and result_bits() outputs.  Bit-identical to
-  /// evaluate() on the netlist the program models.
+  /// evaluate() on the netlist the program models.  The program simulates
+  /// at its own level (callers set it to simd_level() once, when binding).
   double evaluate_program(
       circuit::sim_program& program,
       double abort_above = std::numeric_limits<double>::infinity());

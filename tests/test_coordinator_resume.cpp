@@ -160,15 +160,9 @@ void run_crash_resume_case(const std::string& name,
     ASSERT_TRUE(session.has_value()) << "session " << key;
     EXPECT_EQ(session->rfind("axc-session v2", 0), 0u);
   }
-  // And the component's compiled table (published alongside the front).
-  if (const component_handle component = spec.make_component()) {
-    const std::string table_key =
-        result_store::format_key(component.fingerprint());
-    const auto table = store->get("table", table_key);
-    ASSERT_TRUE(table.has_value()) << "no table published";
-    EXPECT_EQ(table->rfind("axc-table v1", 0), 0u);
-  }
-  EXPECT_EQ(store->entries().size(), 4u);
+  // Nothing else: tables are the server's `table` verb's to build.
+  EXPECT_TRUE(store->entries("table").empty());
+  EXPECT_EQ(store->entries().size(), 3u);  // two sessions and the front
   EXPECT_EQ(store->scrub().quarantined, 0u);
 
   std::error_code ec;
@@ -202,15 +196,24 @@ TEST(coordinator_resume, completed_shards_are_not_respawned) {
   config.work_dir = root + "/work";
   config.worker_binary = worker_binary();
   config.store_dir = root + "/store";
+  // The first life publishes through a handle opened before it, as the
+  // result server does: the puts land in that handle's own index.
+  auto handle = result_store::open(config.store_dir);
+  ASSERT_TRUE(handle.has_value());
+  config.store = &*handle;
 
   const sweep_result first = run_sweep(spec, config);
   ASSERT_TRUE(first.complete);
   ASSERT_EQ(first.shards[0].attempts, 1u);
+  EXPECT_TRUE(handle->contains("front",
+                               result_store::format_key(spec.store_key())));
+  EXPECT_EQ(handle->entries().size(), 3u);
 
   // Re-running the finished sweep replays the journal: zero new spawns,
   // attempt counters preserved, same merge, same published bytes.
   std::size_t spawns = 0;
   shard_runner_config again = config;
+  again.store = nullptr;  // this life opens store_dir itself
   again.on_event = [&spawns](const shard_event& event) {
     spawns += event.kind == shard_event_kind::spawned ? 1 : 0;
   };

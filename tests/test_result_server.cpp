@@ -316,6 +316,53 @@ TEST(result_server, table_builds_once_then_serves_stored_bytes) {
   fs::remove_all(root, ec);
 }
 
+TEST(result_server, each_seed_is_served_its_own_front_and_table) {
+  // Specs alike but for their seed: the array multiplier, the Wallace one
+  // (same behaviour, another structure) and a truncated one.
+  const std::string root = fresh_dir("seeds");
+  std::vector<sweep_spec> specs(3, serve_spec(115));
+  specs[1].seed = mult::unsigned_multiplier(4, mult::schedule::wallace);
+  specs[2].seed = mult::truncated_multiplier(4, 2);
+  std::vector<std::string> fronts;
+  {
+    auto store = result_store::open(root + "/store");
+    ASSERT_TRUE(store.has_value());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const std::vector<pareto_point> points = {
+          {0.001 * static_cast<double>(i + 1), 9.25, 0}};
+      fronts.push_back(serialize_front(points));
+      ASSERT_TRUE(store->put("front",
+                             result_store::format_key(specs[i].store_key()),
+                             fronts.back())
+                      .has_value());
+    }
+  }
+
+  result_server server(local_config(root));
+  ASSERT_TRUE(server.start());
+  std::vector<std::string> table_keys;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const serve_reply front = ask(server, make_request("get", specs[i]));
+    ASSERT_EQ(front.status, "hit") << i;
+    EXPECT_EQ(front.payload, fronts[i]) << i;
+    const serve_reply table = ask(server, make_request("table", specs[i]));
+    ASSERT_EQ(table.status, "hit") << i;
+    const component_handle handle = specs[i].make_component();
+    EXPECT_EQ(table.payload,
+              serialize_table(handle.width(),
+                              handle.characterize(specs[i].seed)))
+        << i;
+    table_keys.push_back(table.key);
+  }
+  EXPECT_NE(table_keys[0], table_keys[1]);
+  EXPECT_NE(table_keys[0], table_keys[2]);
+  EXPECT_NE(table_keys[1], table_keys[2]);
+  EXPECT_EQ(server.stats().tables_built, 3u);
+
+  std::error_code ec;
+  fs::remove_all(root, ec);
+}
+
 // ---- Property (b): miss -> sweep -> hit ---------------------------------
 
 TEST(result_server, miss_sweeps_then_hits_bit_identically) {
@@ -345,6 +392,40 @@ TEST(result_server, miss_sweeps_then_hits_bit_identically) {
   EXPECT_EQ(store->get("front", hit.key), *hit.payload);
   EXPECT_EQ(server.stats().sweeps_completed, 1u);
   EXPECT_EQ(server.stats().misses_enqueued, 1u);
+
+  std::error_code ec;
+  fs::remove_all(root, ec);
+}
+
+TEST(result_server, miss_publishes_no_table_and_the_first_request_builds_it) {
+  if (!worker_binary()) GTEST_SKIP() << "AXC_WORKER_BIN not set";
+  const std::string root = fresh_dir("miss-table");
+  const sweep_spec spec = serve_spec(116);
+  server_config config = local_config(root);
+  config.worker_binary = worker_binary();
+  result_server server(config);
+  ASSERT_TRUE(server.start());
+
+  serve_request wait = make_request("wait", spec);
+  wait.timeout_ms = 120000;
+  ASSERT_EQ(ask(server, wait).status, "hit");
+  {
+    auto store = result_store::open(root + "/store");
+    ASSERT_TRUE(store.has_value());
+    EXPECT_TRUE(store->entries("table").empty());
+    EXPECT_EQ(store->entries("front").size(), 1u);
+  }
+
+  const serve_reply built = ask(server, make_request("table", spec));
+  ASSERT_EQ(built.status, "hit");
+  EXPECT_EQ(server.stats().tables_built, 1u);
+  const component_handle handle = spec.make_component();
+  EXPECT_EQ(built.payload,
+            serialize_table(handle.width(), handle.characterize(spec.seed)));
+  const serve_reply again = ask(server, make_request("table", spec));
+  ASSERT_EQ(again.status, "hit");
+  EXPECT_EQ(again.payload, built.payload);
+  EXPECT_EQ(server.stats().tables_built, 1u);
 
   std::error_code ec;
   fs::remove_all(root, ec);
